@@ -250,8 +250,7 @@ let complete_local rt h lc =
         (* Domain transfer: the executing thread crosses into the
            server. *)
         transfer_to rt ~target:server;
-        Engine.touch_pages e
-          ~pages:(Footprint.call_side rt b astack estack ~data_region));
+        Footprint.call_side rt b astack estack ~data_region);
     (* The deadline fired while we were on our way in: the handle has
        already landed, so serve out the call as an abandoned capture —
        the kernel destroys this thread on return and the A-stack comes
@@ -323,7 +322,7 @@ let complete_local rt h lc =
             (* Cross back into the domain of the first valid linkage —
                the client, unless it terminated while we were away. *)
             transfer_to rt ~target:client;
-            Engine.touch_pages e ~pages:(Footprint.return_side rt b);
+            Footprint.return_side rt b;
             if (Engine.current_cpu e).Engine.idx <> server_cpu then
               coherency lc.lc_bytes_out
           end;
@@ -353,7 +352,7 @@ let complete_local rt h lc =
       crash_cleanup ();
       if Pdomain.active client then begin
         transfer_to rt ~target:client;
-        Engine.touch_pages e ~pages:(Footprint.return_side rt b)
+        Footprint.return_side rt b
       end;
       Error (Call_failed "server domain terminated")
   | exn ->

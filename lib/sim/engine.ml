@@ -28,6 +28,12 @@ type thread = {
          has none; a queue cell whose stamp disagrees is a ghost left by
          a steal and is skipped *)
   run_ev : event; (* preallocated [Run self]: scheduling never allocates *)
+  some_self : thread option; (* preallocated [Some self] for [current] *)
+  mutable eff_cat : Category.t;
+  mutable eff_dur : Time.t;
+  mutable eff_fn : thread -> unit;
+      (* operands of the thread's pending [Delay]/[Suspend]: the effects
+         carry no payload, so performing one allocates nothing *)
 }
 
 and cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
@@ -150,9 +156,7 @@ type t = {
          partition is executing. Adaptive controllers hang here. *)
 }
 
-type _ Effect.t +=
-  | Delay : Category.t * Time.t -> unit Effect.t
-  | Suspend : (thread -> unit) -> unit Effect.t
+type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t
 
 (* --- domain-local partition context ------------------------------------
 
@@ -850,6 +854,10 @@ let spawn ?(name = "thread") ?(home = -1) t ~domain body =
       ever_placed = false;
       rq_seq = -1;
       run_ev = Run th;
+      some_self = Some th;
+      eff_cat = Category.Other;
+      eff_dur = Time.zero;
+      eff_fn = ignore;
     }
   in
   t.next_tid <- t.next_tid + 1;
@@ -879,6 +887,7 @@ let finish t th fail =
   | None -> ());
   th.cont <- No_cont;
   th.body <- None;
+  th.eff_fn <- ignore;
   free_cpu_of t th;
   try_dispatch t
 
@@ -921,7 +930,21 @@ let handle_delay t th cat d k =
   th.cont <- k;
   push_to t ~cpu:th.cpu ~time:(Time.add (now t) d') th.run_ev
 
+(* The two effect handlers are built once per thread, not per effect;
+   their operands come from the thread record, where [delay]/[suspend]
+   left them just before performing. *)
 let start t th body =
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        handle_delay t th th.eff_cat th.eff_dur (K k))
+  in
+  let on_suspend =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        th.cont <- K k;
+        th.eff_fn th)
+  in
   Effect.Deep.match_with body ()
     {
       retc = (fun () -> finish t th None);
@@ -931,22 +954,16 @@ let start t th body =
           | Thread_killed -> finish t th None
           | e -> finish t th (Some e));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Delay (cat, d) ->
-              Some
-                (fun (k : (a, _) Effect.Deep.continuation) ->
-                  handle_delay t th cat d (K k))
-          | Suspend f ->
-              Some
-                (fun (k : (a, _) Effect.Deep.continuation) ->
-                  th.cont <- K k;
-                  f th)
+          | Delay -> on_delay
+          | Suspend -> on_suspend
           | _ -> None);
     }
 
 let exec t th =
-  set_current t (Some th);
+  set_current t th.some_self;
   (match th.pending_exn with
   | Some e when th.body <> None ->
       (* Killed before first instruction. *)
@@ -1231,10 +1248,16 @@ let current_cpu t =
   let th = self t in
   if th.cpu < 0 then raise Not_in_thread else t.cpus_.(th.cpu)
 
-let delay ?(category = Category.Other) _t d =
-  Effect.perform (Delay (category, d))
+let delay ?(category = Category.Other) t d =
+  let th = self t in
+  th.eff_cat <- category;
+  th.eff_dur <- d;
+  Effect.perform Delay
 
-let suspend _t f = Effect.perform (Suspend f)
+let suspend t f =
+  let th = self t in
+  th.eff_fn <- f;
+  Effect.perform Suspend
 
 (* [block]/[yield]/[spin_suspend] run once or more per simulated call;
    their suspension callbacks are built once per engine (in [bind_fns])
@@ -1273,10 +1296,7 @@ let yield_to t ~to_ =
       ready_push t me;
       place t to_ c)
 
-let touch_pages t ~pages =
-  let th = self t in
-  let c = current_cpu t in
-  let misses = Tlb.access c.tlb ~domain:th.domain ~pages in
+let charge_tlb_misses t misses =
   if misses > 0 then begin
     let p = acc_part t in
     p.pt_tlb <- p.pt_tlb + misses;

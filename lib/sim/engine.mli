@@ -155,7 +155,9 @@ val self_opt : t -> thread option
 
 val delay : ?category:Category.t -> t -> Time.t -> unit
 (** Consume simulated CPU time on the current processor, dilated by the
-    bus-contention factor and charged to [category] (default [Other]). *)
+    bus-contention factor and charged to [category] (default [Other]).
+    @raise Not_in_thread when called outside a simulated thread of [t]
+    (at engine level, e.g. from a timer callback, or outside {!run}). *)
 
 val block : t -> unit
 (** Release the processor and sleep until {!wake}. *)
@@ -163,7 +165,8 @@ val block : t -> unit
 val suspend : t -> (thread -> unit) -> unit
 (** Low-level: capture the continuation, then run the callback (at engine
     level — it must not perform effects) to decide what to do with the
-    thread and its processor. Building block for wait queues and locks. *)
+    thread and its processor. Building block for wait queues and locks.
+    @raise Not_in_thread as {!delay}. *)
 
 val yield : t -> unit
 (** Go to the back of the ready queue. *)
@@ -183,9 +186,12 @@ val yield_to : t -> to_:thread -> unit
     queue) instead of blocking — a server donating its processor to a
     replied-to client while it still has queued work. *)
 
-val touch_pages : t -> pages:int list -> unit
-(** Access the given pages through the current processor's TLB in the
-    current thread's domain, charging [Tlb_miss] per miss. *)
+val charge_tlb_misses : t -> int -> unit
+(** Charge [n] TLB refills as one [Tlb_miss] delay of [n * tlb_miss] on
+    the current processor and count them in ["sim.tlb_misses"]; nothing
+    when [n = 0]. A footprint walks its pages through
+    [(current_cpu t).tlb] with {!Tlb.access} in the thread's domain, then
+    charges the summed misses here once. *)
 
 val switch_self_context : t -> domain:int -> unit
 (** The running thread crosses into [domain] on its current processor:

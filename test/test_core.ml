@@ -510,6 +510,85 @@ let test_tlb_misses_43_per_call () =
       let after = Engine.total_tlb_misses w.engine in
       Alcotest.(check int) "43 per call" (43 * 10) (after - before))
 
+(* --- allocation gates ------------------------------------------------------
+
+   Allocation counts are deterministic, so these budgets can be tight
+   where wall-clock budgets cannot. [minor_words_of] has a fixed cost (the
+   boxed float of its first reading), which [alloc_overhead] measures the
+   same way and the gates subtract. *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let alloc_overhead () = minor_words_of ignore
+
+(* Minor words per warm Null LRPC on one thread, measured at 334 with the
+   dev profile's native code; the gate leaves ~10% headroom. *)
+let null_call_word_budget = 370.0
+
+let test_alloc_null_call () =
+  let w = make_world () in
+  let calls = 200 in
+  let words = ref 0.0 in
+  in_client w (fun () ->
+      let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+      for _ = 1 to 20 do
+        ignore (Api.call w.rt b ~proc:"null" [])
+      done;
+      let overhead = alloc_overhead () in
+      words :=
+        minor_words_of (fun () ->
+            for _ = 1 to calls do
+              ignore (Api.call w.rt b ~proc:"null" [])
+            done)
+        -. overhead);
+  let per_call = !words /. float_of_int calls in
+  if per_call > null_call_word_budget then
+    Alcotest.failf "Null LRPC allocates %.1f minor words/call (budget %.0f)"
+      per_call null_call_word_budget
+
+let test_alloc_tlb_access_warm () =
+  let tlb = Tlb.create ~capacity:64 ~tagged:false in
+  let touch () =
+    for page = 0 to 42 do
+      ignore (Tlb.access tlb ~domain:1 ~page)
+    done
+  in
+  touch ();
+  let overhead = alloc_overhead () in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to 1000 do
+          touch ()
+        done)
+  in
+  Alcotest.(check (float 0.0)) "warm Tlb.access allocates nothing" 0.0
+    (words -. overhead)
+
+let test_alloc_delay_event () =
+  let e = Engine.create Cost_model.cvax_firefly in
+  let events = 10_000 in
+  let words = ref 0.0 in
+  ignore
+    (Engine.spawn e ~domain:0 (fun () ->
+         for _ = 1 to 100 do
+           Engine.delay e (Time.us 1)
+         done;
+         let overhead = alloc_overhead () in
+         words :=
+           minor_words_of (fun () ->
+               for _ = 1 to events do
+                 Engine.delay e (Time.us 1)
+               done)
+           -. overhead));
+  Engine.run e;
+  let per_event = !words /. float_of_int events in
+  if per_event > 8.0 then
+    Alcotest.failf "Engine.delay allocates %.2f words/event (budget 8)"
+      per_event
+
 let test_breakdown_matches_table5 () =
   let w = make_world () in
   in_client w (fun () ->
@@ -1114,6 +1193,12 @@ let () =
           Alcotest.test_case "null MP 125us" `Quick test_null_mp_latency_125us;
           Alcotest.test_case "43 tlb misses" `Quick test_tlb_misses_43_per_call;
           Alcotest.test_case "table 5 breakdown" `Quick test_breakdown_matches_table5;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "null call budget" `Quick test_alloc_null_call;
+          Alcotest.test_case "warm tlb access" `Quick test_alloc_tlb_access_warm;
+          Alcotest.test_case "delay event budget" `Quick test_alloc_delay_event;
         ] );
       ( "astacks",
         [

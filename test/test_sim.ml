@@ -165,39 +165,177 @@ let test_tlb_miss_split () =
 
 (* --- TLB --------------------------------------------------------------- *)
 
+(* Touch [pages] in order; the number that missed. *)
+let access_all tlb ~domain pages =
+  List.fold_left
+    (fun n page -> if Tlb.access tlb ~domain ~page then n + 1 else n)
+    0 pages
+
 let test_tlb_miss_then_hit () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  Alcotest.(check int) "cold misses" 3 (Tlb.access tlb ~domain:1 ~pages:[ 1; 2; 3 ]);
-  Alcotest.(check int) "warm hits" 0 (Tlb.access tlb ~domain:1 ~pages:[ 1; 2; 3 ])
+  Alcotest.(check int) "cold misses" 3 (access_all tlb ~domain:1 [ 1; 2; 3 ]);
+  Alcotest.(check int) "warm hits" 0 (access_all tlb ~domain:1 [ 1; 2; 3 ])
 
 let test_tlb_invalidate () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[ 1; 2 ]);
+  ignore (access_all tlb ~domain:1 [ 1; 2 ]);
   Tlb.invalidate tlb;
-  Alcotest.(check int) "cold again" 2 (Tlb.access tlb ~domain:1 ~pages:[ 1; 2 ]);
+  Alcotest.(check int) "cold again" 2 (access_all tlb ~domain:1 [ 1; 2 ]);
   Alcotest.(check int) "one flush" 1 (Tlb.flush_count tlb)
 
 let test_tlb_tagged_survives () =
   let tlb = Tlb.create ~capacity:8 ~tagged:true in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[ 1; 2 ]);
+  ignore (access_all tlb ~domain:1 [ 1; 2 ]);
   Tlb.invalidate tlb;
-  Alcotest.(check int) "still resident" 0 (Tlb.access tlb ~domain:1 ~pages:[ 1; 2 ]);
+  Alcotest.(check int) "still resident" 0 (access_all tlb ~domain:1 [ 1; 2 ]);
   (* Same page in another domain is a distinct tagged entry. *)
-  Alcotest.(check int) "other domain misses" 2 (Tlb.access tlb ~domain:2 ~pages:[ 1; 2 ])
+  Alcotest.(check int) "other domain misses" 2 (access_all tlb ~domain:2 [ 1; 2 ])
 
 let test_tlb_untagged_shares_pages () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[ 7 ]);
-  Alcotest.(check int) "untagged ignores domain" 0 (Tlb.access tlb ~domain:2 ~pages:[ 7 ])
+  ignore (access_all tlb ~domain:1 [ 7 ]);
+  Alcotest.(check int) "untagged ignores domain" 0 (access_all tlb ~domain:2 [ 7 ])
 
 let test_tlb_lru_eviction () =
   let tlb = Tlb.create ~capacity:2 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:0 ~pages:[ 1; 2 ]);
-  ignore (Tlb.access tlb ~domain:0 ~pages:[ 1 ]);
+  ignore (access_all tlb ~domain:0 [ 1; 2 ]);
+  ignore (access_all tlb ~domain:0 [ 1 ]);
   (* 2 is now LRU *)
-  ignore (Tlb.access tlb ~domain:0 ~pages:[ 3 ]);
+  ignore (access_all tlb ~domain:0 [ 3 ]);
   Alcotest.(check bool) "1 stays" true (Tlb.resident tlb ~domain:0 ~page:1);
   Alcotest.(check bool) "2 evicted" false (Tlb.resident tlb ~domain:0 ~page:2)
+
+let test_tlb_id_bounds () =
+  let m = Tlb.max_id in
+  let tagged = Tlb.create ~capacity:4 ~tagged:true in
+  Alcotest.(check bool) "max ids miss" true (Tlb.access tagged ~domain:m ~page:m);
+  Alcotest.(check bool) "then hit" false (Tlb.access tagged ~domain:m ~page:m);
+  (* The extremes pack to distinct keys: no aliasing at the edges. *)
+  Alcotest.(check int) "corners distinct" 3
+    (access_all tagged ~domain:0 [ 0; m ] + access_all tagged ~domain:m [ 0 ]);
+  Alcotest.(check bool) "all four resident" true
+    (List.for_all
+       (fun (domain, page) -> Tlb.resident tagged ~domain ~page)
+       [ (0, 0); (0, m); (m, 0); (m, m) ]);
+  let raises what f =
+    Alcotest.check_raises what (Invalid_argument "Tlb: page id out of range")
+      (fun () -> ignore (f ()))
+  in
+  raises "page past max" (fun () -> Tlb.access tagged ~domain:0 ~page:(m + 1));
+  raises "negative page" (fun () -> Tlb.access tagged ~domain:0 ~page:(-1));
+  raises "resident checks too" (fun () ->
+      Tlb.resident tagged ~domain:0 ~page:(m + 1));
+  Alcotest.check_raises "domain past max"
+    (Invalid_argument "Tlb: domain id out of range") (fun () ->
+      ignore (Tlb.access tagged ~domain:(m + 1) ~page:0));
+  (* An untagged TLB never packs the domain, so any domain is accepted. *)
+  let untagged = Tlb.create ~capacity:4 ~tagged:false in
+  Alcotest.(check bool) "untagged max page" true
+    (Tlb.access untagged ~domain:(m + 1) ~page:m);
+  raises "untagged page past max" (fun () ->
+      Tlb.access untagged ~domain:0 ~page:(m + 1));
+  Alcotest.(check (pair int int)) "rejected touches are not misses" (4, 1)
+    (Tlb.miss_count tagged, Tlb.miss_count untagged)
+
+(* Reference model: the earlier [Hashtbl]-of-tuples LRU, kept verbatim in
+   behaviour so the packed-array TLB can be checked against it. *)
+module Ref_tlb = struct
+  type t = {
+    capacity : int;
+    tagged : bool;
+    entries : (int * int, int) Hashtbl.t;
+    mutable clock : int;
+    mutable misses : int;
+    mutable flushes : int;
+  }
+
+  let create ~capacity ~tagged =
+    { capacity; tagged; entries = Hashtbl.create 64; clock = 0; misses = 0; flushes = 0 }
+
+  let invalidate t =
+    if (not t.tagged) && Hashtbl.length t.entries > 0 then begin
+      Hashtbl.reset t.entries;
+      t.flushes <- t.flushes + 1
+    end
+
+  let key t ~domain ~page = if t.tagged then (domain, page) else (0, page)
+
+  let evict_lru t =
+    let victim = ref None in
+    Hashtbl.iter
+      (fun k stamp ->
+        match !victim with
+        | Some (_, s) when s <= stamp -> ()
+        | _ -> victim := Some (k, stamp))
+      t.entries;
+    match !victim with Some (k, _) -> Hashtbl.remove t.entries k | None -> ()
+
+  let access t ~domain ~page =
+    let k = key t ~domain ~page in
+    t.clock <- t.clock + 1;
+    match Hashtbl.find_opt t.entries k with
+    | Some _ ->
+        Hashtbl.replace t.entries k t.clock;
+        false
+    | None ->
+        if Hashtbl.length t.entries >= t.capacity then evict_lru t;
+        Hashtbl.replace t.entries k t.clock;
+        t.misses <- t.misses + 1;
+        true
+
+  let resident t ~domain ~page = Hashtbl.mem t.entries (key t ~domain ~page)
+end
+
+type tlb_op = Access of int * int | Invalidate | Resident of int * int
+
+(* Ids come from a small pool that includes both packing boundaries, so
+   sequences revisit entries (hits, LRU order) as well as the extremes. *)
+let prop_tlb_matches_reference =
+  let id = QCheck.Gen.oneofl [ 0; 1; 2; 3; 5; 8; Tlb.max_id - 1; Tlb.max_id ] in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map2 (fun d p -> Access (d, p)) id id);
+          (1, return Invalidate);
+          (3, map2 (fun d p -> Resident (d, p)) id id);
+        ])
+  in
+  let case =
+    QCheck.Gen.(
+      triple (oneofl [ 1; 2; 3; 64 ]) bool (list_size (int_range 0 400) op))
+  in
+  let print (cap, tagged, ops) =
+    Printf.sprintf "capacity %d, tagged %b, %d ops" cap tagged (List.length ops)
+  in
+  QCheck.Test.make ~name:"tlb matches hashtbl lru reference" ~count:300
+    (QCheck.make ~print case) (fun (capacity, tagged, ops) ->
+      let t = Tlb.create ~capacity ~tagged in
+      let r = Ref_tlb.create ~capacity ~tagged in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Access (domain, page) ->
+                Tlb.access t ~domain ~page = Ref_tlb.access r ~domain ~page
+            | Invalidate ->
+                Tlb.invalidate t;
+                Ref_tlb.invalidate r;
+                true
+            | Resident (domain, page) ->
+                Tlb.resident t ~domain ~page = Ref_tlb.resident r ~domain ~page
+          in
+          same
+          && Tlb.miss_count t = r.Ref_tlb.misses
+          && Tlb.flush_count t = r.Ref_tlb.flushes)
+        ops
+      && List.for_all
+           (fun domain ->
+             List.for_all
+               (fun page ->
+                 Tlb.resident t ~domain ~page = Ref_tlb.resident r ~domain ~page)
+               [ 0; 1; 2; 3; 5; 8; Tlb.max_id - 1; Tlb.max_id ])
+           [ 0; 1; 2; 3; 5; 8; Tlb.max_id - 1; Tlb.max_id ])
 
 (* --- Engine basics ------------------------------------------------------ *)
 
@@ -212,6 +350,25 @@ let test_delay_advances_time () =
   Engine.run e;
   check_time "12us" (Time.us 12) !finished;
   Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
+
+(* In-thread operations at engine level fail with the engine's own typed
+   exception, not an unhandled effect: outside [run], and from a timer
+   callback inside it. *)
+let test_delay_outside_thread () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  Alcotest.check_raises "before run" Engine.Not_in_thread (fun () ->
+      Engine.delay e (Time.us 1));
+  Alcotest.check_raises "suspend" Engine.Not_in_thread (fun () ->
+      Engine.suspend e ignore);
+  let from_timer = ref None in
+  ignore
+    (Engine.at e (Time.us 3) (fun () ->
+         from_timer :=
+           Some (try Engine.delay e (Time.us 1); "returned" with
+                 | Engine.Not_in_thread -> "Not_in_thread")));
+  Engine.run e;
+  Alcotest.(check (option string)) "timer" (Some "Not_in_thread") !from_timer;
+  check_time "no time consumed" (Time.us 3) (Engine.now e)
 
 let test_two_threads_one_cpu_serialize () =
   let e = Engine.create ~processors:1 cm_no_bus in
@@ -348,9 +505,13 @@ let test_touch_pages_charges_misses () =
   let e = Engine.create ~processors:1 cm_no_bus in
   ignore
     (Engine.spawn e ~domain:0 (fun () ->
-         Engine.touch_pages e ~pages:[ 100; 101; 102 ];
+         let touch () =
+           let tlb = (Engine.current_cpu e).Engine.tlb in
+           Engine.charge_tlb_misses e (access_all tlb ~domain:0 [ 100; 101; 102 ])
+         in
+         touch ();
          (* warm now *)
-         Engine.touch_pages e ~pages:[ 100; 101; 102 ]));
+         touch ()));
   Engine.run e;
   let tlb =
     List.assoc_opt Category.Tlb_miss (Engine.breakdown e)
@@ -905,6 +1066,7 @@ let () =
         prop_heap_model;
         prop_victim_ring_covers;
         prop_engine_deterministic;
+        prop_tlb_matches_reference;
       ]
   in
   Alcotest.run "lrpc_sim"
@@ -933,10 +1095,12 @@ let () =
           Alcotest.test_case "tagged survives" `Quick test_tlb_tagged_survives;
           Alcotest.test_case "untagged shares" `Quick test_tlb_untagged_shares_pages;
           Alcotest.test_case "lru eviction" `Quick test_tlb_lru_eviction;
+          Alcotest.test_case "id bounds" `Quick test_tlb_id_bounds;
         ] );
       ( "engine",
         [
           Alcotest.test_case "delay advances time" `Quick test_delay_advances_time;
+          Alcotest.test_case "delay outside thread" `Quick test_delay_outside_thread;
           Alcotest.test_case "one cpu serializes" `Quick test_two_threads_one_cpu_serialize;
           Alcotest.test_case "two cpus parallel" `Quick test_two_cpus_parallel;
           Alcotest.test_case "block/wake" `Quick test_block_wake;
