@@ -12,6 +12,8 @@ NUMA_CHAOS_JSON := /tmp/lrpc_numa_chaos_smoke.json
 TRANSPORT_JSON := /tmp/lrpc_transport_smoke.json
 TRANSPORT_CHAOS_JSON := /tmp/lrpc_transport_chaos_smoke.json
 TRANSPORT_T45_TXT := /tmp/lrpc_transport_t45_smoke.txt
+MEM_JSON := /tmp/lrpc_mem_smoke.json
+MEM_GC := /tmp/lrpc_mem_smoke.gc
 
 # Seeded chaos-soak trace digest with the classic transport selected
 # (the default). Pinned so any change to the published fault-injection
@@ -22,14 +24,18 @@ CHAOS_DIGEST := 5eeba0661c190ff27d10f0b0154ef27c
 # md5 of the `t4 t5` rendering: the classic-path LRPC numbers the
 # paper tables publish, which new transports must not perturb.
 T45_DIGEST := 8da7f56177c9c5c4908222de5c262ccd
+# Peak major heap, in words, allowed for the quick open-loop sweep:
+# about 2x the 5.6 M measured once region backing, histogram bins and
+# finished threads cost only what the simulation touches (53 M before).
+MEM_TOP_HEAP_WORDS := 11000000
 
 .PHONY: check build test smoke pipeline-smoke fault-smoke fault-stress \
   fig2-scale-smoke openloop-smoke overload-smoke engine-parallel-smoke \
-  numa-smoke transport-smoke bench-pipeline bench-host bench-host-full clean
+  numa-smoke transport-smoke mem-smoke bench-pipeline bench-host bench-host-full clean
 
 check: build test smoke pipeline-smoke fault-smoke fig2-scale-smoke \
   openloop-smoke overload-smoke engine-parallel-smoke numa-smoke \
-  transport-smoke bench-host
+  transport-smoke mem-smoke bench-host
 
 build:
 	dune build
@@ -243,6 +249,21 @@ transport-smoke: build
 	  h = hashlib.md5(open('$(TRANSPORT_T45_TXT)', 'rb').read()).hexdigest(); \
 	  assert h == '$(T45_DIGEST)', 'Table 4/5 rendering drifted: %s' % h"
 	@echo "transport smoke OK"
+
+# Host memory: the quick open-loop sweep must stay under its peak-heap
+# bound. The runtime's exit-time GC report (OCAMLRUNPARAM=v=0x400) gives
+# top_heap_words; the binary runs directly so the report is its own, not
+# dune's.
+mem-smoke: build
+	OCAMLRUNPARAM=v=0x400 ./_build/default/bin/lrpc_experiments.exe \
+	  openloop --quick --json > $(MEM_JSON) 2> $(MEM_GC)
+	@python3 -c "import json, re; json.load(open('$(MEM_JSON)')); \
+	  m = re.findall(r'^top_heap_words: (\d+)$$', open('$(MEM_GC)').read(), re.M); \
+	  assert len(m) == 1, 'no top_heap_words in the GC report'; \
+	  top = int(m[0]); \
+	  assert top <= $(MEM_TOP_HEAP_WORDS), \
+	    'top_heap_words %d exceeds the bound $(MEM_TOP_HEAP_WORDS)' % top; \
+	  print('mem smoke OK (top_heap_words %d, bound $(MEM_TOP_HEAP_WORDS))' % top)"
 
 # The chaos soak at its stress tier: ~10x the smoke call count, same
 # invariants and replay check. Not part of `check` (takes a while).

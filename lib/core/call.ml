@@ -88,7 +88,7 @@ let read_outputs rt ?audit ~client ~region ~proc plan =
   List.map
     (fun (s : Layout.slot) ->
       let v, consumed =
-        V.decode (slot_type s ~proc) region.Vm.data ~off:s.Layout.offset
+        V.decode (slot_type s ~proc) (Vm.data region) ~off:s.Layout.offset
       in
       ignore
         (Vm.read_bytes ~engine:e ?audit ~label:"F" ~by:client region
@@ -754,7 +754,13 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
       let carrier =
         Kernel.spawn rt.kernel b.b_client
           ~name:(Printf.sprintf "carrier-%s#%d" proc h.ch_id)
-          (fun () -> run_completion rt h)
+          (fun () ->
+            (* The carrier lives for this one call: its linkstack entry
+               goes with it, or every async call would stay reachable. *)
+            let self = Engine.self e in
+            Fun.protect
+              ~finally:(fun () -> drop_linkstack rt self)
+              (fun () -> run_completion rt h))
       in
       h.ch_carrier <- Some carrier);
   (match deadline with

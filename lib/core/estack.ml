@@ -40,28 +40,27 @@ let associate rt ~server astack =
           es
       | [] ->
           let es =
-            try fresh_estack rt ~server
-            with Out_of_memory ->
-              (* The server's address space is exhausted: reclaim every
-                 association older than now (i.e. all of them) and retry
-                 once. *)
-              if reclaim rt ~server ~keep_newer_than:(now rt) = 0 then
-                raise Out_of_memory
-              else begin
+            match fresh_estack rt ~server with
+            | es ->
+                (* Only a genuinely fresh E-stack costs kernel allocation
+                   time on the call path; recycled ones were paid for
+                   already. *)
+                pool.ep_all <- es :: pool.ep_all;
+                Engine.delay ~category:Lrpc_sim.Category.Kernel_transfer
+                  (engine rt) rt.config.estack_alloc_cost;
+                es
+            | exception Out_of_memory -> (
+                (* The server's address space is exhausted: reclaim every
+                   association older than now (i.e. all of them) and
+                   retry once. *)
+                if reclaim rt ~server ~keep_newer_than:(now rt) = 0 then
+                  raise Out_of_memory;
                 match pool.ep_free with
                 | es :: rest ->
                     pool.ep_free <- rest;
                     es
-                | [] -> raise Out_of_memory
-              end
+                | [] -> raise Out_of_memory)
           in
-          (* Only a genuinely fresh E-stack costs kernel allocation time
-             on the call path; recycled ones were paid for already. *)
-          if not (List.memq es pool.ep_all) then begin
-            pool.ep_all <- es :: pool.ep_all;
-            Engine.delay ~category:Lrpc_sim.Category.Kernel_transfer (engine rt)
-              rt.config.estack_alloc_cost
-          end;
           es.es_assoc <- Some astack;
           astack.a_estack <- Some es;
           es)

@@ -606,6 +606,8 @@ let linkstack_of rt th =
       Hashtbl.replace rt.linkstacks tid r;
       r
 
+let drop_linkstack rt th = Hashtbl.remove rt.linkstacks (Engine.thread_id th)
+
 let estack_pool rt d =
   match Hashtbl.find_opt rt.estack_pools d.Pdomain.id with
   | Some p -> p

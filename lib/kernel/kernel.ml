@@ -72,15 +72,7 @@ let default_idle_retag_factor = 2.0
 
 let boot engine =
   let kernel_domain =
-    {
-      Pdomain.id = 0;
-      name = "kernel";
-      machine = 0;
-      state = Pdomain.Active;
-      threads = [];
-      pages_allocated = 0;
-      page_limit = max_int;
-    }
+    Pdomain.make ~id:0 ~name:"kernel" ~machine:0 ~page_limit:max_int
   in
   let by_id = Hashtbl.create 64 in
   Hashtbl.replace by_id kernel_domain.Pdomain.id kernel_domain;
@@ -120,17 +112,7 @@ let cost_model t = Engine.cost_model t.engine
 let kernel_domain t = t.kernel_domain
 
 let create_domain ?(machine = 0) ?(page_limit = 16_384) t ~name =
-  let d =
-    {
-      Pdomain.id = t.next_domain;
-      name;
-      machine;
-      state = Pdomain.Active;
-      threads = [];
-      pages_allocated = 0;
-      page_limit;
-    }
-  in
+  let d = Pdomain.make ~id:t.next_domain ~name ~machine ~page_limit in
   t.next_domain <- t.next_domain + 1;
   t.domains_ <- d :: t.domains_;
   Hashtbl.replace t.by_id d.Pdomain.id d;
@@ -168,7 +150,8 @@ let alloc_region t ~owner ~name ~bytes ~mapped =
       Vm.rid = t.next_region;
       region_name = name;
       pages;
-      data = Bytes.make (max bytes 1) '\000';
+      size = max bytes 1;
+      backing = Bytes.empty;
       mapped = [];
       region_valid = true;
     }
@@ -189,7 +172,7 @@ let release_region t ~owner r =
 let spawn ?(name = "thread") ?home t d body =
   require_active d;
   let th = Engine.spawn ?home ~name t.engine ~domain:d.Pdomain.id body in
-  d.Pdomain.threads <- th :: d.Pdomain.threads;
+  Pdomain.add_thread d th;
   th
 
 let trap t =

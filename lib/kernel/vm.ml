@@ -2,7 +2,8 @@ type region = {
   rid : int;
   region_name : string;
   pages : int list;
-  data : Bytes.t;
+  size : int;
+  mutable backing : Bytes.t;
   mutable mapped : Pdomain.id list;
   mutable region_valid : bool;
 }
@@ -21,6 +22,11 @@ let audit_reset a =
   a.labels <- []
 
 exception Protection_violation of string
+
+(* [size >= 1], so an empty backing means "not created yet". *)
+let data r =
+  if Bytes.length r.backing = 0 then r.backing <- Bytes.make r.size '\000';
+  r.backing
 
 let map_into r d =
   if not (List.mem d.Pdomain.id r.mapped) then r.mapped <- d.Pdomain.id :: r.mapped
@@ -68,30 +74,30 @@ let charge_copy engine rate label len =
 
 let write_bytes ?engine ?rate ?audit ?label ~by r ~off src =
   check r by "write_bytes";
-  Bytes.blit src 0 r.data off (Bytes.length src);
+  Bytes.blit src 0 (data r) off (Bytes.length src);
   note ?audit ?label ~bytes:(Bytes.length src) ();
   charge_copy engine rate label (Bytes.length src)
 
 let read_bytes ?engine ?rate ?audit ?label ~by r ~off ~len =
   check r by "read_bytes";
   let out = Bytes.create len in
-  Bytes.blit r.data off out 0 len;
+  Bytes.blit (data r) off out 0 len;
   note ?audit ?label ~bytes:len ();
   charge_copy engine rate label len;
   out
 
 let peek ~by r ~off ~len =
   check r by "peek";
-  Bytes.sub r.data off len
+  Bytes.sub (data r) off len
 
 let poke ~by r ~off src =
   check r by "poke";
-  Bytes.blit src 0 r.data off (Bytes.length src)
+  Bytes.blit src 0 (data r) off (Bytes.length src)
 
 let region_to_region ?engine ?rate ?audit ?label ~src ~src_off ~dst ~dst_off ~len
     () =
   if not (src.region_valid && dst.region_valid) then
     raise (Protection_violation "region_to_region: invalid region");
-  Bytes.blit src.data src_off dst.data dst_off len;
+  Bytes.blit (data src) src_off (data dst) dst_off len;
   note ?audit ?label ~bytes:len ();
   charge_copy engine rate label len

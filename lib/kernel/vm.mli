@@ -1,6 +1,10 @@
 (** Virtual-memory regions and protected byte movement.
 
-    A region is a run of simulated pages backed by real [Bytes.t]. Mapping
+    A region is a run of simulated pages backed by real [Bytes.t]. The
+    backing is created, zero-filled, on the first data access through
+    {!data}: a region whose bytes are never read or written (an E-stack
+    whose pages only feed the TLB footprint) costs no host memory beyond
+    its record. Mapping
     is what the paper's pairwise-shared A-stacks rely on: the same backing
     bytes are made visible to exactly the client and server of one binding
     (and to nobody else), so argument data written by the client stub is
@@ -16,7 +20,10 @@ type region = {
   rid : int;
   region_name : string;
   pages : int list;  (** global page identifiers, for TLB footprints *)
-  data : Bytes.t;
+  size : int;  (** length of the backing bytes, at least 1 *)
+  mutable backing : Bytes.t;
+      (** empty until the first access through {!data}; read the region's
+          bytes only through {!data} *)
   mutable mapped : Pdomain.id list;
       (** domains with read-write access; kernel-only regions map [] *)
   mutable region_valid : bool;  (** unmapped/reclaimed regions are invalid *)
@@ -27,6 +34,10 @@ type audit = {
   mutable bytes_copied : int;
   mutable labels : string list;  (** copy-op labels, most recent first *)
 }
+
+val data : region -> Bytes.t
+(** The region's backing bytes, created zero-filled on first use. No
+    access check: callers check rights first (the accessors below do). *)
 
 val audit_create : unit -> audit
 val audit_reset : audit -> unit

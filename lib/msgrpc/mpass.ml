@@ -159,7 +159,7 @@ let process_message s msg =
             let v, consumed =
               V.decode
                 (slot_type slot ~proc:msg.m_proc)
-                inbuf.Vm.data ~off:slot.Layout.offset
+                (Vm.data inbuf) ~off:slot.Layout.offset
             in
             ignore
               (Vm.read_bytes ~engine:e ~rate:p.Profile.marshal_rate ?audit
@@ -462,7 +462,7 @@ let call ?audit conn ~proc args =
                   let v, consumed =
                     V.decode
                       (slot_type slot ~proc:layout.Layout.proc)
-                      inbuf.Vm.data ~off:slot.Layout.offset
+                      (Vm.data inbuf) ~off:slot.Layout.offset
                   in
                   ignore
                     (Vm.read_bytes ~engine:e ~rate:p.Profile.readback_rate

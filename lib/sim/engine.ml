@@ -121,6 +121,10 @@ type t = {
   mutable current : thread option;
   mutable failures_ : (thread * exn) list;
   mutable threads : thread list;
+      (* spawned threads, newest first; finished ones are reaped at spawn
+         once the list has doubled since the last reap *)
+  mutable threads_len : int;
+  mutable threads_reap_at : int;
   metrics_ : Metrics.t;
   cat_time : Metrics.counter array; (* charged ns, indexed by Category.index *)
   tlb_miss_count : Metrics.counter;
@@ -231,6 +235,10 @@ let default_domains () = !default_domains_ref
 
 let ncats = List.length Category.all
 
+(* Smallest thread-list length worth reaping at: keeps short-lived
+   engines from filtering a handful of threads on every spawn. *)
+let reap_floor = 64
+
 let create ?(processors = 1) ?domains cm =
   assert (processors > 0);
   let domains =
@@ -323,6 +331,8 @@ let create ?(processors = 1) ?domains cm =
       current = None;
       failures_ = [];
       threads = [];
+      threads_len = 0;
+      threads_reap_at = reap_floor;
       metrics_;
       cat_time;
       tlb_miss_count = Metrics.counter metrics_ "sim.tlb_misses";
@@ -862,6 +872,12 @@ let spawn ?(name = "thread") ?(home = -1) t ~domain body =
   in
   t.next_tid <- t.next_tid + 1;
   t.threads <- th :: t.threads;
+  t.threads_len <- t.threads_len + 1;
+  if t.threads_len >= t.threads_reap_at then begin
+    t.threads <- List.filter alive t.threads;
+    t.threads_len <- List.length t.threads;
+    t.threads_reap_at <- max reap_floor (2 * t.threads_len)
+  end;
   ready_push t th;
   try_dispatch t;
   th

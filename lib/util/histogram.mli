@@ -1,7 +1,13 @@
 (** Fixed-bin histograms with cumulative distributions.
 
     Used for Figure 1 (RPC size distribution) and for latency
-    distributions in the experiment harness. *)
+    distributions in the experiment harness.
+
+    Memory is paid for on demand: a fresh histogram holds no bins, and
+    the backing array grows by doubling up to the highest bin a sample
+    has reached. Bins never touched read as 0, so every reader below
+    sees the full logical range of {!bin_count} bins. Once the highest
+    bin in use is backed, {!add} allocates nothing. *)
 
 type t
 

@@ -589,6 +589,86 @@ let test_alloc_delay_event () =
     Alcotest.failf "Engine.delay allocates %.2f words/event (budget 8)"
       per_event
 
+(* --- retention gates --------------------------------------------------------
+
+   Host memory follows what the simulation touches. These gates pin the
+   three places that used to pay up front: region backing bytes, metric
+   histogram bins, and the threads of finished calls. *)
+
+let test_alloc_untouched_region () =
+  let w = make_world () in
+  let r =
+    Kernel.alloc_region w.kernel ~owner:w.server ~name:"idle" ~bytes:20_480
+      ~mapped:[ w.server ]
+  in
+  Alcotest.(check int) "fresh region unbacked" 0 (Bytes.length r.Vm.backing);
+  let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+  in_client w (fun () ->
+      ignore (Api.call w.rt b ~proc:"add" [ V.int 1; V.int 2 ]));
+  (* The call associated an E-stack; its pages fed the TLB footprint but
+     its bytes were never read or written. *)
+  let pb = List.assoc "add" b.Rt.b_procs in
+  let estacks =
+    List.filter_map (fun a -> a.Rt.a_estack) pb.Rt.pb_pool.Rt.ap_all
+  in
+  Alcotest.(check int) "one estack" 1 (List.length estacks);
+  List.iter
+    (fun es ->
+      Alcotest.(check int) "estack unbacked" 0
+        (Bytes.length es.Rt.es_region.Vm.backing))
+    estacks;
+  (* First access creates the backing, zero-filled. *)
+  Alcotest.(check string) "zero-filled on first read" "\000\000"
+    (Bytes.to_string (Vm.peek ~by:w.server r ~off:20_478 ~len:2));
+  Alcotest.(check int) "backed after access" 20_480 (Bytes.length r.Vm.backing)
+
+let test_alloc_fresh_histogram () =
+  let m = Lrpc_obs.Metrics.create () in
+  let h = Lrpc_obs.Metrics.histogram m "h" in
+  (* The whole instrument: record, key string and an empty histogram. *)
+  let words = Obj.reachable_words (Obj.repr h) in
+  if words >= 16 then
+    Alcotest.failf "fresh Metrics histogram holds %d words (budget < 16)" words
+
+let test_alloc_histogram_add_warm () =
+  let h = Lrpc_util.Histogram.create ~bin_width:4 ~max_value:4096 in
+  let samples () =
+    for v = 0 to 5000 do
+      Lrpc_util.Histogram.add h v
+    done
+  in
+  samples ();
+  let overhead = alloc_overhead () in
+  let words = minor_words_of (fun () -> for _ = 1 to 10 do samples () done) in
+  Alcotest.(check (float 0.0)) "warm Histogram.add allocates nothing" 0.0
+    (words -. overhead)
+
+(* Every async call spawns a carrier thread. Once it has landed and been
+   awaited, nothing of it may stay reachable: the live heap after 8 000
+   calls must match the live heap after 2 000 to within a small constant
+   (a leak of even one word per call would show 6 000 words). *)
+let test_async_calls_do_not_leak () =
+  let w = make_world () in
+  let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+  let batch n =
+    for _ = 1 to n / 4 do
+      let hs = List.init 4 (fun _ -> Api.call_async w.rt b ~proc:"null" []) in
+      List.iter (fun h -> ignore (Api.await w.rt h)) hs
+    done
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let growth = ref 0 in
+  in_client w (fun () ->
+      batch 2_000;
+      let at_2k = live_words () in
+      batch 6_000;
+      growth := live_words () - at_2k);
+  if !growth > 2_000 then
+    Alcotest.failf "live heap grew %d words over 6 000 async calls" !growth
+
 let test_breakdown_matches_table5 () =
   let w = make_world () in
   in_client w (fun () ->
@@ -1199,6 +1279,14 @@ let () =
           Alcotest.test_case "null call budget" `Quick test_alloc_null_call;
           Alcotest.test_case "warm tlb access" `Quick test_alloc_tlb_access_warm;
           Alcotest.test_case "delay event budget" `Quick test_alloc_delay_event;
+          Alcotest.test_case "untouched region unbacked" `Quick
+            test_alloc_untouched_region;
+          Alcotest.test_case "fresh histogram small" `Quick
+            test_alloc_fresh_histogram;
+          Alcotest.test_case "warm histogram add" `Quick
+            test_alloc_histogram_add_warm;
+          Alcotest.test_case "async calls do not leak" `Quick
+            test_async_calls_do_not_leak;
         ] );
       ( "astacks",
         [

@@ -260,6 +260,184 @@ let prop_histogram_cumulative_monotone =
       done;
       !ok)
 
+(* The production histogram backs only the bins a sample has reached
+   and reads absent bins as 0. This reference is the eager
+   implementation it replaced, one array slot per logical bin from the
+   start; the two must answer every reader identically, boundary values
+   included. *)
+module Eager_histogram = struct
+  type t = {
+    bin_width : int;
+    max_value : int;
+    bins : int array;
+    mutable total : int;
+  }
+
+  let create ~bin_width ~max_value =
+    let n = (max_value + bin_width - 1) / bin_width in
+    { bin_width; max_value; bins = Array.make (n + 1) 0; total = 0 }
+
+  let bin_of t v =
+    if v >= t.max_value then Array.length t.bins - 1 else v / t.bin_width
+
+  let add_many t v n =
+    let i = bin_of t v in
+    t.bins.(i) <- t.bins.(i) + n;
+    t.total <- t.total + n
+
+  let bin_value t i = t.bins.(i)
+
+  let bin_label t i =
+    if i = Array.length t.bins - 1 then Printf.sprintf "%d+" t.max_value
+    else Printf.sprintf "%d-%d" (i * t.bin_width) (((i + 1) * t.bin_width) - 1)
+
+  let cumulative_at t v =
+    if t.total = 0 then 0.0
+    else begin
+      let acc = ref 0 in
+      for i = 0 to bin_of t v do
+        acc := !acc + t.bins.(i)
+      done;
+      float_of_int !acc /. float_of_int t.total
+    end
+
+  let fraction_below t v =
+    if t.total = 0 || v <= 0 then 0.0
+    else begin
+      let full = min (v / t.bin_width) (Array.length t.bins - 1) in
+      let acc = ref 0 in
+      for i = 0 to full - 1 do
+        acc := !acc + t.bins.(i)
+      done;
+      let partial =
+        if full >= Array.length t.bins - 1 then 0.0
+        else
+          float_of_int t.bins.(full)
+          *. float_of_int (v - (full * t.bin_width))
+          /. float_of_int t.bin_width
+      in
+      (float_of_int !acc +. partial) /. float_of_int t.total
+    end
+
+  let percentile t p =
+    if t.total = 0 then 0
+    else begin
+      let target = p /. 100. *. float_of_int t.total in
+      let acc = ref 0.0 and result = ref t.max_value in
+      (try
+         for i = 0 to Array.length t.bins - 1 do
+           acc := !acc +. float_of_int t.bins.(i);
+           if !acc >= target then begin
+             result := min t.max_value ((i + 1) * t.bin_width);
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      !result
+    end
+
+  let mode_bin t =
+    let best = ref 0 in
+    Array.iteri (fun i v -> if v > t.bins.(!best) then best := i) t.bins;
+    !best
+
+  let iter t f =
+    Array.iteri
+      (fun i count ->
+        let upper =
+          if i = Array.length t.bins - 1 then None
+          else Some ((i + 1) * t.bin_width)
+        in
+        f ~lower:(i * t.bin_width) ~upper ~count)
+      t.bins
+
+  let render ?(width = 50) ?(unit_label = "samples") t ppf =
+    let max_count = Array.fold_left max 1 t.bins in
+    Format.fprintf ppf "%12s  %-*s %10s  %s@." "range" width "" "count" "cum%";
+    let running = ref 0 in
+    Array.iteri
+      (fun i c ->
+        running := !running + c;
+        let bar = c * width / max_count in
+        let cum =
+          if t.total = 0 then 0.0
+          else 100.0 *. float_of_int !running /. float_of_int t.total
+        in
+        Format.fprintf ppf "%12s  %-*s %10d  %5.1f@." (bin_label t i) width
+          (String.make bar '#') c cum)
+      t.bins;
+    Format.fprintf ppf "total: %d %s@." t.total unit_label
+end
+
+(* Values on and around the interesting boundaries of a histogram with
+   the given shape: 0, every bin edge and the value just below it,
+   [max_value - 1], [max_value] and [max_int]. *)
+let histogram_boundaries ~bin_width ~max_value =
+  let edges = List.init ((max_value / bin_width) + 2) (fun k -> k * bin_width) in
+  [ 0; max_value - 1; max_value; max_int ]
+  @ edges
+  @ List.map (fun e -> max 0 (e - 1)) edges
+
+let histogram_case =
+  QCheck.(
+    make
+      ~print:(fun (bw, mv, samples) ->
+        Printf.sprintf "bin_width=%d max_value=%d samples=[%s]" bw mv
+          (String.concat "; "
+             (List.map (fun (v, n) -> Printf.sprintf "%d*%d" v n) samples)))
+      Gen.(
+        int_range 1 40 >>= fun bw ->
+        int_range 1 400 >>= fun mv ->
+        let bounds = Array.of_list (histogram_boundaries ~bin_width:bw ~max_value:mv) in
+        let value =
+          frequency
+            [
+              (3, int_bound (2 * mv));
+              (2, map (fun i -> bounds.(i)) (int_bound (Array.length bounds - 1)));
+            ]
+        in
+        list_size (int_bound 60) (pair value (int_range 1 3)) >|= fun samples ->
+        (bw, mv, samples)))
+
+let prop_histogram_matches_eager =
+  QCheck.Test.make ~name:"histogram matches eager reference" ~count:300
+    histogram_case
+    (fun (bin_width, max_value, samples) ->
+      let h = Histogram.create ~bin_width ~max_value in
+      let r = Eager_histogram.create ~bin_width ~max_value in
+      List.iter
+        (fun (v, n) ->
+          if n = 1 then Histogram.add h v else Histogram.add_many h v n;
+          Eager_histogram.add_many r v n)
+        samples;
+      let queries = -1 :: histogram_boundaries ~bin_width ~max_value in
+      let ps = [ 0.; 0.1; 1.; 10.; 25.; 50.; 75.; 90.; 99.; 99.9; 100. ] in
+      let bins = Histogram.bin_count h in
+      let iter_list iter t =
+        let l = ref [] in
+        iter t (fun ~lower ~upper ~count -> l := (lower, upper, count) :: !l);
+        List.rev !l
+      in
+      let render f = Format.asprintf "%t" f in
+      Histogram.count h = r.Eager_histogram.total
+      && bins = Array.length r.Eager_histogram.bins
+      && List.for_all
+           (fun p -> Histogram.percentile h p = Eager_histogram.percentile r p)
+           ps
+      && List.for_all
+           (fun v ->
+             Histogram.cumulative_at h v = Eager_histogram.cumulative_at r v
+             && Histogram.fraction_below h v
+                = Eager_histogram.fraction_below r v)
+           queries
+      && List.for_all
+           (fun i -> Histogram.bin_value h i = Eager_histogram.bin_value r i)
+           (List.init bins Fun.id)
+      && Histogram.mode_bin h = Eager_histogram.mode_bin r
+      && iter_list Histogram.iter h = iter_list Eager_histogram.iter r
+      && render (Histogram.render ~width:20 h)
+         = render (Eager_histogram.render ~width:20 r))
+
 let prop_stats_mean_bounded =
   QCheck.Test.make ~name:"stats mean within min..max" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1e6) 1e6))
@@ -396,6 +574,7 @@ let () =
       [
         prop_histogram_total;
         prop_histogram_cumulative_monotone;
+        prop_histogram_matches_eager;
         prop_stats_mean_bounded;
         prop_prng_matches_reference;
         prop_prng_int_in_range;
