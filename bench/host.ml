@@ -4,6 +4,7 @@
    bench-host-full`) whose numbers are tracked across commits:
 
      engine_events_per_sec       raw event-loop rate, tight delay loop
+     engine_events_per_sec_parked_timers  same loop, 2 000 far timers parked
      fig1_synthesis_calls_per_sec  Fig.1 traffic synthesis throughput
      fig2_wallclock_sec          the 4-CPU throughput experiment, wall
      fig2_scale_wallclock_sec    the 1-256 CPU scaling study, wall
@@ -78,10 +79,16 @@ let wall f =
 
 (* Raw event-loop rate: one thread, a tight delay loop, no tracer. Each
    delay is one timed event through the heap plus one dispatch, so this
-   is events/sec of the engine hot path in isolation. *)
-let engine_events_per_sec () =
+   is events/sec of the engine hot path in isolation. With [parked]
+   far-future timers armed first (they fire after the loop ends), it
+   measures what parked timers cost each resumption — the open-loop
+   shape, where every sleeping session holds one. *)
+let engine_events_per_sec ?(parked = 0) () =
   let n = if quick then 200_000 else 2_000_000 in
   let e = Engine.create ~processors:1 Cost_model.cvax_firefly in
+  for i = 1 to parked do
+    ignore (Engine.at e (Time.add (Time.ms 1_000_000) i) ignore)
+  done;
   ignore
     (Engine.spawn e ~domain:0 (fun () ->
          for _ = 1 to n do
@@ -200,6 +207,7 @@ let suite_times () =
 
 let () =
   let events = engine_events_per_sec () in
+  let events_parked = engine_events_per_sec ~parked:2_000 () in
   let fig1 = fig1_synthesis_calls_per_sec () in
   let fig2 = fig2_wallclock_sec () in
   let fig2_scale = fig2_scale_wallclock_sec () in
@@ -236,6 +244,8 @@ let () =
   Printf.bprintf buf "  \"host_cores\": %d,\n" host_cores;
   Printf.bprintf buf "  \"ocaml_version\": \"%s\",\n" Sys.ocaml_version;
   Printf.bprintf buf "  \"engine_events_per_sec\": %.0f,\n" events;
+  Printf.bprintf buf "  \"engine_events_per_sec_parked_timers\": %.0f,\n"
+    events_parked;
   Printf.bprintf buf "  \"fig1_synthesis_calls_per_sec\": %.0f,\n" fig1;
   Printf.bprintf buf "  \"fig2_wallclock_sec\": %.3f,\n" fig2;
   Printf.bprintf buf "  \"fig2_scale_wallclock_sec\": %.3f,\n" fig2_scale;

@@ -60,6 +60,7 @@ type t = {
   mutable hooks : hook list; (* reversed *)
   mutable next_hook : int;
   linkages : (int, int) Hashtbl.t; (* tid -> outstanding linkage records *)
+  mutable linkages_total : int; (* sum over [linkages], kept per call *)
   g_linkages : Metrics.gauge;
 }
 
@@ -104,6 +105,7 @@ let boot engine =
     hooks = [];
     next_hook = 1;
     linkages = Hashtbl.create 64;
+    linkages_total = 0;
     g_linkages = Metrics.gauge (Engine.metrics engine) "kernel.linkages_outstanding";
   }
 
@@ -187,14 +189,14 @@ let trap t =
    single thread may hold several at once (they no longer nest like
    procedure calls), so this is a count, not a stack depth. *)
 
-let total_linkages t =
-  Hashtbl.fold (fun _ n acc -> acc + n) t.linkages 0
+let total_linkages t = t.linkages_total
 
 let linkage_claimed t th =
   let tid = Engine.thread_id th in
   let n = match Hashtbl.find_opt t.linkages tid with Some n -> n | None -> 0 in
   Hashtbl.replace t.linkages tid (n + 1);
-  Metrics.Gauge.set t.g_linkages (float_of_int (total_linkages t))
+  t.linkages_total <- t.linkages_total + 1;
+  Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
 
 let linkage_released t th =
   let tid = Engine.thread_id th in
@@ -202,7 +204,8 @@ let linkage_released t th =
   | Some 1 -> Hashtbl.remove t.linkages tid
   | Some n when n > 1 -> Hashtbl.replace t.linkages tid (n - 1)
   | Some _ | None -> invalid_arg "Kernel.linkage_released: none outstanding");
-  Metrics.Gauge.set t.g_linkages (float_of_int (total_linkages t))
+  t.linkages_total <- t.linkages_total - 1;
+  Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
 
 let outstanding_linkages t th =
   match Hashtbl.find_opt t.linkages (Engine.thread_id th) with
@@ -214,18 +217,19 @@ let outstanding_linkages t th =
 let domain_caching_enabled t = t.caching
 let set_domain_caching t b = t.caching <- b
 
+(* The first idle processor whose loaded context is [d]'s. Runs on both
+   transfers of every call, so the scan allocates nothing until a hit. *)
 let find_idle_processor_in_context t d =
-  let cpus = Engine.cpus t.engine in
-  let found = ref None in
-  Array.iter
-    (fun c ->
-      if
-        !found = None
-        && c.Engine.running = None
-        && c.Engine.context = Some d.Pdomain.id
-      then found := Some c)
-    cpus;
-  !found
+  let cpus = Engine.cpus t.engine and id = d.Pdomain.id in
+  let rec scan i =
+    if i = Array.length cpus then None
+    else
+      let c = cpus.(i) in
+      match (c.Engine.running, c.Engine.context) with
+      | None, Some ctx when ctx = id -> Some c
+      | _ -> scan (i + 1)
+  in
+  scan 0
 
 (* Per-domain counters live in the engine's metrics registry; the local
    hashtables only cache the instrument handles for the hot path. *)

@@ -74,6 +74,8 @@ val linkage_released : t -> Lrpc_sim.Engine.thread -> unit
 
 val outstanding_linkages : t -> Lrpc_sim.Engine.thread -> int
 val total_linkages : t -> int
+(** Sum of {!outstanding_linkages} over all threads, kept as a running
+    total so reading it is O(1). *)
 
 (** {1 Idle-processor management (LRPC/MP, paper §3.4)} *)
 
@@ -84,8 +86,9 @@ val set_domain_caching : t -> bool -> unit
 
 val find_idle_processor_in_context :
   t -> Pdomain.t -> Lrpc_sim.Engine.cpu option
-(** A processor with no running thread whose loaded VM context is the
-    given domain — the candidate for a processor exchange. *)
+(** The lowest-numbered processor with no running thread whose loaded VM
+    context is the given domain — the candidate for a processor
+    exchange. *)
 
 val note_context_miss : t -> Pdomain.t -> unit
 (** Record that a call wanted an idle processor in this domain's context

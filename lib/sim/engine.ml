@@ -84,7 +84,8 @@ type partition = {
   p_idx : int;
   p_lo : int; (* inclusive first owned CPU *)
   p_hi : int; (* inclusive last owned CPU *)
-  p_heap : event Heap.t;
+  p_run : event Heap.t; (* [Run] resumptions: ~one live entry per CPU *)
+  p_timers : event Heap.t; (* [Fire] timers, often parked far ahead *)
   p_out : event Mailbox.t;
   mutable pt_now : Time.t;
   mutable pt_current : thread option;
@@ -286,7 +287,8 @@ let create ?(processors = 1) ?domains cm =
           p_idx = i;
           p_lo;
           p_hi;
-          p_heap = Heap.create ();
+          p_run = Heap.create ();
+          p_timers = Heap.create ();
           p_out = Mailbox.create ();
           pt_now = Time.zero;
           pt_current = None;
@@ -506,6 +508,24 @@ let[@inline] next_key t =
 
 let[@inline] part_of_cpu t c = if c < 0 then 0 else t.cpu_part.(c)
 
+(* Each partition keeps two heaps under the same (time, key) order: one
+   for thread resumptions, due within microseconds and at most about one
+   live entry per CPU, and one for timers, which sessions park far in
+   the future. A resumption therefore never sifts through parked timers.
+   Keys are unique across both, so popping the smaller head of the two
+   reproduces the one-heap order exactly (the {!Window.select} merge). *)
+let[@inline] heap_for p = function Run _ -> p.p_run | Fire _ -> p.p_timers
+
+(* The partition heap whose head comes first in (time, key) order; the
+   run heap when both are empty. *)
+let[@inline] next_heap p =
+  let r = p.p_run and f = p.p_timers in
+  if Heap.is_empty f then r
+  else if Heap.is_empty r then f
+  else
+    let tr = Heap.top_time r and tf = Heap.top_time f in
+    if tr < tf || (tr = tf && Heap.top_key r < Heap.top_key f) then r else f
+
 (* Push an event owned by processor context [cpu] (or -1 for engine
    level). Inside a parallel window a foreign partition's heap may not
    be touched; the event travels as a mailbox message instead and the
@@ -515,10 +535,10 @@ let push_to t ~cpu ~time ev =
   let pi = part_of_cpu t cpu in
   if t.par_phase then begin
     let me = my_part t in
-    if pi = me.p_idx then Heap.push_key me.p_heap ~time ~key ev
+    if pi = me.p_idx then Heap.push_key (heap_for me ev) ~time ~key ev
     else Mailbox.post me.p_out ~target:pi ~time ~key ev
   end
-  else Heap.push_key t.parts.(pi).p_heap ~time ~key ev
+  else Heap.push_key (heap_for t.parts.(pi) ev) ~time ~key ev
 
 (* Schedule [fn] to run at [time] under processor context [target_cpu]:
    the deferred-effect primitive behind cross-CPU wakes and interrupts
@@ -1003,13 +1023,15 @@ let exec t th =
 
    - [run_serial]: one partition. The original tight loop, allocation-
      free per event; the default and the only loop the paper artifacts'
-     hot path ever sees.
+     hot path ever sees. It pops whichever of the partition's run and
+     timer heaps has the smaller head ({!next_heap}).
 
    - [run_merge]: several partitions, standard (bus-coupled) model.
-     One executor drains all partition heaps in global (time, key)
-     order via {!Window.select}; execution order — and therefore every
-     output byte — is identical to [run_serial] by construction. This
-     is the honest mode for models whose effective lookahead is zero.
+     One executor drains both heaps of every partition in global
+     (time, key) order via {!Window.select}; execution order — and
+     therefore every output byte — is identical to [run_serial] by
+     construction. This is the honest mode for models whose effective
+     lookahead is zero.
 
    - [run_parallel]: several partitions, isolated model. Conservative
      windows of width [lookahead]: each partition's events inside the
@@ -1018,9 +1040,10 @@ let exec t th =
      [lookahead] away and are merged at the barrier. *)
 
 let run_serial t limit =
-  let h = t.parts.(0).p_heap in
+  let p = t.parts.(0) in
   let continue_ = ref true in
   while !continue_ do
+    let h = next_heap p in
     if Heap.is_empty h then continue_ := false
     else begin
       let tm = Heap.top_time h in
@@ -1048,7 +1071,11 @@ let run_serial t limit =
   done;
   t.exec_cpu_ <- -1
 
-let part_heaps t = Array.map (fun p -> p.p_heap) t.parts
+(* Both heaps of every partition, for the k-way merges. *)
+let part_heaps t =
+  Array.init (2 * t.nparts) (fun i ->
+      let p = t.parts.(i / 2) in
+      if i land 1 = 0 then p.p_run else p.p_timers)
 
 let run_merge t limit =
   let heaps = part_heaps t in
@@ -1085,9 +1112,9 @@ let run_merge t limit =
    (they would otherwise unwind a worker loop). *)
 let run_partition_window t p w_end =
   (try
-     let h = p.p_heap in
      let continue_ = ref true in
      while !continue_ do
+       let h = next_heap p in
        if Heap.is_empty h then continue_ := false
        else begin
          let tm = Heap.top_time h in
@@ -1125,7 +1152,7 @@ let barrier_commit t =
   Array.iter
     (fun p ->
       Mailbox.drain p.p_out (fun ~target ~time ~key ev ->
-          Heap.push_key t.parts.(target).p_heap ~time ~key ev))
+          Heap.push_key (heap_for t.parts.(target) ev) ~time ~key ev))
     t.parts;
   (match t.tracer with
   | None -> ()

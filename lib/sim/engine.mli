@@ -22,7 +22,8 @@
     processors.
 
     {b Partitioned execution.} The simulated processors are sharded into
-    [domains] contiguous partitions, each owning its own event heap;
+    [domains] contiguous partitions, each owning a run heap for thread
+    resumptions and a timer heap for {!at} timers;
     every event carries an engine-assigned (time, key) pair forming one
     global total order across partitions, so the merged execution order
     — and therefore every output byte — is independent of the domain
@@ -269,11 +270,11 @@ val at : t -> Time.t -> (unit -> unit) -> timer
 (** Schedule a callback for the given simulated time (clamped to [now]
     when already past). The callback runs at engine level — it may
     {!wake}, {!interrupt}, {!kill}, {!emit} and touch metrics, but must
-    not perform effects ({!delay}, {!block}, ...). Timers share the
-    event heap with thread resumptions, so their firing order against
-    other events at the same instant is the deterministic (time,
-    sequence) order. Used for call deadlines and fault-plan crash
-    schedules. *)
+    not perform effects ({!delay}, {!block}, ...). Timers sit in their
+    own heap, apart from thread resumptions, but both draw keys from one
+    sequence, so their firing order against other events at the same
+    instant is the deterministic (time, sequence) order. Used for call
+    deadlines and fault-plan crash schedules. *)
 
 val cancel_timer : t -> timer -> unit
 (** Disarm a timer; harmless when it already fired. *)

@@ -1,7 +1,8 @@
 (* Struct-of-arrays binary min-heap keyed by (time, sequence).
 
-   This is the engine's event queue, popped once per simulated event, so
-   the representation is chosen for the host hot path: three parallel
+   The engine's event queue is two of these per partition (thread
+   resumptions and timers), popped once per simulated event, so the
+   representation is chosen for the host hot path: three parallel
    arrays (times, sequences, payloads) instead of one heap-allocated
    entry record per push. A push writes three slots and sifts; no
    allocation happens outside the amortized array doubling. Because

@@ -1,6 +1,7 @@
-(* Deterministic k-way merge order over per-partition event heaps.
+(* Deterministic k-way merge order over the engine's event heaps (a run
+   heap and a timer heap per partition).
 
-   Each partition heap is individually ordered by (time, key); because
+   Each heap is individually ordered by (time, key); because
    the engine assigns keys from one global order, selecting the heap
    with the smallest (time, key) head and popping from it reproduces
    exactly the pop order of a single heap holding the union. This is

@@ -118,44 +118,55 @@ let test_soak_across_engine_domains () =
 (* --- windowed merge order (property) ------------------------------------ *)
 
 (* The ordering fact the whole design rests on: a (time, key) stream
-   sharded across any number of heaps and drained through Window.select
-   pops in exactly the order one big heap gives. Keys are unique (the
+   sharded across any number of partitions, each holding a run heap and
+   a timer heap chosen by payload kind as in the engine, and drained
+   through Window.select pops in exactly the order one big heap gives.
+   Pushes interleave with the drain, never earlier than the last pop
+   (the engine never schedules into the past). Keys are unique (the
    engine assigns them from disjoint counters), times collide freely. *)
+type merge_ev = Run of int | Fire of int
+
 let merge_matches_serial_prop =
   QCheck.Test.make ~count:300 ~name:"windowed merge = serial heap order"
     QCheck.(
       pair (int_range 1 6)
-        (small_list (pair (int_range 0 7) (int_range 0 40))))
-    (fun (nparts, events) ->
-      let shards = Array.init nparts (fun _ -> Heap.create ()) in
+        (small_list
+           (option (triple (int_range 0 7) bool (int_range 0 40)))))
+    (fun (nparts, ops) ->
+      (* Heap 2p is partition p's run heap, 2p + 1 its timer heap. *)
+      let shards = Array.init (2 * nparts) (fun _ -> Heap.create ()) in
       let serial = Heap.create () in
-      List.iteri
-        (fun i (shard, t) ->
-          let time = Time.us t in
-          (* i doubles as the unique tiebreak key and the payload. *)
-          Heap.push_key shards.(shard mod nparts) ~time ~key:i i;
-          Heap.push_key serial ~time ~key:i i)
-        events;
-      let drain_merged () =
-        let out = ref [] in
-        let rec go () =
-          match Window.select shards with
-          | -1 -> ()
-          | p ->
-              out := Heap.take shards.(p) :: !out;
-              go ()
-        in
-        go ();
-        List.rev !out
+      let now = ref 0 and key = ref 0 in
+      let pop_both () =
+        match Window.select shards with
+        | -1 -> Heap.is_empty serial
+        | _ when Heap.is_empty serial -> false
+        | p ->
+            let time = Heap.top_time shards.(p) in
+            now := time;
+            time = Heap.top_time serial
+            && Heap.take shards.(p) = Heap.take serial
       in
-      let drain_serial () =
-        let out = ref [] in
-        while not (Heap.is_empty serial) do
-          out := Heap.take serial :: !out
-        done;
-        List.rev !out
+      let step ok op =
+        ok
+        &&
+        match op with
+        | None -> pop_both ()
+        | Some (part, timer, dt) ->
+            let time = !now + Time.us dt in
+            let k = !key in
+            incr key;
+            (* k doubles as the unique tiebreak key and the payload. *)
+            let ev = if timer then Fire k else Run k in
+            let h = (2 * (part mod nparts)) + if timer then 1 else 0 in
+            Heap.push_key shards.(h) ~time ~key:k ev;
+            Heap.push_key serial ~time ~key:k ev;
+            true
       in
-      drain_merged () = drain_serial ())
+      let rec drain ok =
+        if ok && not (Heap.is_empty serial) then drain (pop_both ()) else ok
+      in
+      drain (List.fold_left step true ops) && Window.select shards = -1)
 
 let () =
   Alcotest.run "lrpc_harness"

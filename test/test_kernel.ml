@@ -206,6 +206,51 @@ let test_terminate_kills_threads () =
 
 (* --- idle-processor management -------------------------------------------------- *)
 
+(* The running total must track the per-thread counts exactly: random
+   claims and releases over several threads, with over-releases
+   rejected and leaving both untouched. *)
+let test_linkage_total_matches_counts () =
+  let e, k = boot () in
+  let d = Kernel.create_domain k ~name:"d" in
+  let ths = Array.init 4 (fun _ -> Kernel.spawn k d (fun () -> ())) in
+  let gauge =
+    Lrpc_obs.Metrics.gauge (Engine.metrics e) "kernel.linkages_outstanding"
+  in
+  let check_sum what =
+    let sum =
+      Array.fold_left
+        (fun acc th -> acc + Kernel.outstanding_linkages k th)
+        0 ths
+    in
+    Alcotest.(check int) what sum (Kernel.total_linkages k);
+    Alcotest.(check (float 0.)) (what ^ " gauge") (float_of_int sum)
+      (Lrpc_obs.Metrics.Gauge.value gauge)
+  in
+  let rng = Random.State.make [| 14 |] in
+  let rejected = ref 0 in
+  for step = 1 to 400 do
+    let th = ths.(Random.State.int rng (Array.length ths)) in
+    (if Random.State.bool rng then Kernel.linkage_claimed k th
+     else if Kernel.outstanding_linkages k th > 0 then
+       Kernel.linkage_released k th
+     else begin
+       incr rejected;
+       Alcotest.check_raises "over-release"
+         (Invalid_argument "Kernel.linkage_released: none outstanding")
+         (fun () -> Kernel.linkage_released k th)
+     end);
+    check_sum (Printf.sprintf "step %d" step)
+  done;
+  Alcotest.(check bool) "an over-release was exercised" true (!rejected > 0);
+  Array.iter
+    (fun th ->
+      for _ = 1 to Kernel.outstanding_linkages k th do
+        Kernel.linkage_released k th
+      done)
+    ths;
+  check_sum "drained";
+  Alcotest.(check int) "back to zero" 0 (Kernel.total_linkages k)
+
 let test_find_idle_in_context () =
   let e, k = boot ~processors:2 () in
   let d = Kernel.create_domain k ~name:"d" in
@@ -220,6 +265,18 @@ let test_find_idle_in_context () =
     (Kernel.spawn k d ~home:1 (fun () -> Engine.delay e (Time.us 10)));
   Alcotest.(check bool) "busy excluded" true
     (Kernel.find_idle_processor_in_context k d = None)
+
+let test_find_idle_takes_lowest () =
+  let e, k = boot ~processors:4 () in
+  let d = Kernel.create_domain k ~name:"d" in
+  let other = Kernel.create_domain k ~name:"other" in
+  let cpus = Engine.cpus e in
+  cpus.(0).Engine.context <- Some other.Pdomain.id;
+  cpus.(2).Engine.context <- Some d.Pdomain.id;
+  cpus.(3).Engine.context <- Some d.Pdomain.id;
+  match Kernel.find_idle_processor_in_context k d with
+  | Some c -> Alcotest.(check int) "first match" 2 c.Engine.idx
+  | None -> Alcotest.fail "should find cpu2"
 
 let test_note_miss_prods_idle () =
   let e, k = boot ~processors:2 () in
@@ -400,10 +457,12 @@ let () =
           Alcotest.test_case "spawn tracked" `Quick test_spawn_tracked;
           Alcotest.test_case "terminate hooks" `Quick test_terminate_runs_hooks_once;
           Alcotest.test_case "terminate kills" `Quick test_terminate_kills_threads;
+          Alcotest.test_case "linkage total" `Quick test_linkage_total_matches_counts;
         ] );
       ( "idle processors",
         [
           Alcotest.test_case "find idle" `Quick test_find_idle_in_context;
+          Alcotest.test_case "find idle lowest" `Quick test_find_idle_takes_lowest;
           Alcotest.test_case "prodding" `Quick test_note_miss_prods_idle;
           Alcotest.test_case "hotter wins" `Quick test_note_miss_respects_hotter_domain;
           Alcotest.test_case "miss counting" `Quick test_miss_counting_and_ewma;

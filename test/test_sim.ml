@@ -370,6 +370,89 @@ let test_delay_outside_thread () =
   Alcotest.(check (option string)) "timer" (Some "Not_in_thread") !from_timer;
   check_time "no time consumed" (Time.us 3) (Engine.now e)
 
+(* Timers and thread resumptions live in separate partition heaps; at the
+   same simulated instant they must still run in push (key) order, under
+   every run loop: serial, the bus-coupled merge, and parallel windows. *)
+let tie_engines () =
+  let iso = Cost_model.isolated ~lookahead:(Time.us 5) ~name:"iso" cm in
+  [
+    ("serial", Engine.create ~processors:1 cm_no_bus);
+    ("merge", Engine.create ~processors:2 ~domains:2 cm_no_bus);
+    ("parallel", Engine.create ~processors:2 ~domains:2 iso);
+  ]
+
+let test_timer_resumption_tie_order () =
+  List.iter
+    (fun (loop, e) ->
+      let log = ref [] in
+      let note s = log := (s, Engine.now e) :: !log in
+      ignore
+        (Engine.spawn e ~domain:0 ~home:0 (fun () ->
+             (* Timer pushed before the resumption: it fires first. *)
+             let t0 = Engine.now e in
+             ignore
+               (Engine.at e (Time.add t0 (Time.us 10)) (fun () ->
+                    note "timer1"));
+             Engine.delay e (Time.us 10);
+             note "thread1";
+             (* Resumption pushed before the timer: a zero-delay timer
+                runs once the thread parks, and only then arms the one
+                due with the resumption. *)
+             let t1 = Engine.now e in
+             ignore
+               (Engine.at e t1 (fun () ->
+                    ignore
+                      (Engine.at e (Time.add t1 (Time.us 10)) (fun () ->
+                           note "timer2"))));
+             Engine.delay e (Time.us 10);
+             note "thread2"));
+      Engine.run e;
+      let got = List.rev !log in
+      let t1 = snd (List.hd got) in
+      Alcotest.(check (list (pair string int)))
+        (loop ^ ": push order at equal instants")
+        [
+          ("timer1", t1);
+          ("thread1", t1);
+          ("thread2", t1 + Time.us 10);
+          ("timer2", t1 + Time.us 10);
+        ]
+        got)
+    (tie_engines ())
+
+(* Far-future timers parked in the timer heap are invisible to delay
+   loops: resumption order and times match the run without them, and
+   each timer still fires at its own instant. *)
+let test_parked_timer_invisible_to_delays () =
+  let run ~parked =
+    let e = Engine.create ~processors:2 cm_no_bus in
+    let log = ref [] in
+    if parked then
+      for i = 1 to 50 do
+        ignore
+          (Engine.at e (Time.ms (10 + i)) (fun () ->
+               log := (-i, Engine.now e) :: !log))
+      done;
+    for i = 0 to 3 do
+      ignore
+        (Engine.spawn e ~domain:i (fun () ->
+             for _ = 1 to 20 do
+               Engine.delay e (Time.us ((i mod 3) + 1));
+               log := (i, Engine.now e) :: !log
+             done))
+    done;
+    Engine.run e;
+    List.rev !log
+  in
+  let plain = run ~parked:false and with_timers = run ~parked:true in
+  let resumptions = List.filter (fun (i, _) -> i >= 0) with_timers in
+  Alcotest.(check (list (pair int int)))
+    "same resumption order" plain resumptions;
+  Alcotest.(check (list (pair int int)))
+    "timers fire last, at their own instants"
+    (List.init 50 (fun k -> (-(k + 1), Time.ms (11 + k))))
+    (List.filter (fun (i, _) -> i < 0) with_timers)
+
 let test_two_threads_one_cpu_serialize () =
   let e = Engine.create ~processors:1 cm_no_bus in
   let log = ref [] in
@@ -1101,6 +1184,10 @@ let () =
         [
           Alcotest.test_case "delay advances time" `Quick test_delay_advances_time;
           Alcotest.test_case "delay outside thread" `Quick test_delay_outside_thread;
+          Alcotest.test_case "timer/resumption ties" `Quick
+            test_timer_resumption_tie_order;
+          Alcotest.test_case "parked timers invisible" `Quick
+            test_parked_timer_invisible_to_delays;
           Alcotest.test_case "one cpu serializes" `Quick test_two_threads_one_cpu_serialize;
           Alcotest.test_case "two cpus parallel" `Quick test_two_cpus_parallel;
           Alcotest.test_case "block/wake" `Quick test_block_wake;
