@@ -282,6 +282,7 @@ bench-host: build
 	@python3 -c "import json, numbers; d = json.load(open('$(HOST_JSON)')); \
 	  keys = ['engine_events_per_sec', \
 	          'engine_events_per_sec_parked_timers', \
+	          'engine_steal_dispatches_per_sec', \
 	          'fig1_synthesis_calls_per_sec', \
 	          'fig2_wallclock_sec', 'fig2_scale_wallclock_sec', \
 	          'openloop_sweep_wallclock_sec', \

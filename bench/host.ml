@@ -97,6 +97,24 @@ let engine_events_per_sec ?(parked = 0) () =
   let (), dt = wall (fun () -> Engine.run e) in
   float_of_int n /. dt
 
+(* Steal-driven dispatch rate: 64 threads homed on CPU 0 of 16 yield in
+   a loop, so every yield frees a processor whose own queue is empty and
+   which must steal from CPU 0's. Engine only: no kernel or core code
+   runs. Each yield is one dispatch. *)
+let engine_steal_dispatches_per_sec () =
+  let threads = 64 in
+  let n = (if quick then 200_000 else 2_000_000) / threads in
+  let e = Engine.create ~processors:16 Cost_model.cvax_firefly in
+  for _ = 1 to threads do
+    ignore
+      (Engine.spawn e ~home:0 ~domain:0 (fun () ->
+           for _ = 1 to n do
+             Engine.yield e
+           done))
+  done;
+  let (), dt = wall (fun () -> Engine.run e) in
+  float_of_int (n * threads) /. dt
+
 let fig1_synthesis_calls_per_sec () =
   let calls = if quick then 50_000 else 500_000 in
   let rng = Prng.create ~seed:7L in
@@ -208,6 +226,7 @@ let suite_times () =
 let () =
   let events = engine_events_per_sec () in
   let events_parked = engine_events_per_sec ~parked:2_000 () in
+  let steal_dispatches = engine_steal_dispatches_per_sec () in
   let fig1 = fig1_synthesis_calls_per_sec () in
   let fig2 = fig2_wallclock_sec () in
   let fig2_scale = fig2_scale_wallclock_sec () in
@@ -246,6 +265,8 @@ let () =
   Printf.bprintf buf "  \"engine_events_per_sec\": %.0f,\n" events;
   Printf.bprintf buf "  \"engine_events_per_sec_parked_timers\": %.0f,\n"
     events_parked;
+  Printf.bprintf buf "  \"engine_steal_dispatches_per_sec\": %.0f,\n"
+    steal_dispatches;
   Printf.bprintf buf "  \"fig1_synthesis_calls_per_sec\": %.0f,\n" fig1;
   Printf.bprintf buf "  \"fig2_wallclock_sec\": %.3f,\n" fig2;
   Printf.bprintf buf "  \"fig2_scale_wallclock_sec\": %.3f,\n" fig2_scale;

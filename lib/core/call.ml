@@ -753,7 +753,7 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
       h.ch_state <- In_flight;
       let carrier =
         Kernel.spawn rt.kernel b.b_client
-          ~name:(Printf.sprintf "carrier-%s#%d" proc h.ch_id)
+          ~name:("carrier-" ^ proc ^ "#" ^ string_of_int h.ch_id)
           (fun () ->
             (* The carrier lives for this one call: its linkstack entry
                goes with it, or every async call would stay reachable. *)

@@ -16,6 +16,7 @@ type hook_handle = int
    prod policy chases domains that are missing *now*, not domains that
    were busy long ago (raw counters never forget). *)
 type miss_stat = {
+  ms_id : Pdomain.id;
   mutable ms_ewma : float;
   mutable ms_at : Time.t;
   mutable ms_cpu : int;
@@ -42,6 +43,10 @@ type t = {
   misses : (Pdomain.id, Metrics.counter) Hashtbl.t;
   hits : (Pdomain.id, Metrics.counter) Hashtbl.t;
   ewmas : (Pdomain.id, miss_stat) Hashtbl.t;
+  mutable stats : miss_stat array;
+      (* the values of [ewmas] in insertion order, [nstats] in use: the
+         idle consult scans them with a plain loop *)
+  mutable nstats : int;
   ewma_gauges : (Pdomain.id, Metrics.gauge) Hashtbl.t;
   prodded : (int, Time.t * Pdomain.id) Hashtbl.t;
       (* cpu index -> (when, domain) of the last prod retag, pending its
@@ -89,6 +94,8 @@ let boot engine =
     misses = Hashtbl.create 16;
     hits = Hashtbl.create 16;
     ewmas = Hashtbl.create 16;
+    stats = [||];
+    nstats = 0;
     ewma_gauges = Hashtbl.create 16;
     prodded = Hashtbl.create 8;
     c_prods = Metrics.counter (Engine.metrics engine) "kernel.context_prods";
@@ -234,9 +241,9 @@ let find_idle_processor_in_context t d =
 (* Per-domain counters live in the engine's metrics registry; the local
    hashtables only cache the instrument handles for the hot path. *)
 let domain_counter t cache name d =
-  match Hashtbl.find_opt cache d.Pdomain.id with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find cache d.Pdomain.id with
+  | c -> c
+  | exception Not_found ->
       let c =
         Metrics.counter (Engine.metrics t.engine)
           ~labels:[ ("domain", string_of_int d.Pdomain.id) ]
@@ -304,7 +311,7 @@ let set_prod_tuning ?half_life_us ?margin ?idle_retag_factor t =
       t.retag_factor <- f
   | None -> ()
 
-let decayed t ~now st =
+let[@inline] decayed t ~now st =
   if st.ms_ewma = 0.0 then 0.0
   else
     let dt = Time.to_us (Time.sub now st.ms_at) in
@@ -312,17 +319,26 @@ let decayed t ~now st =
     else st.ms_ewma *. (0.5 ** (dt /. t.half_life_us))
 
 let miss_stat t d =
-  match Hashtbl.find_opt t.ewmas d.Pdomain.id with
-  | Some st -> st
-  | None ->
-      let st = { ms_ewma = 0.0; ms_at = Time.zero; ms_cpu = -1 } in
+  match Hashtbl.find t.ewmas d.Pdomain.id with
+  | st -> st
+  | exception Not_found ->
+      let st =
+        { ms_id = d.Pdomain.id; ms_ewma = 0.0; ms_at = Time.zero; ms_cpu = -1 }
+      in
       Hashtbl.replace t.ewmas d.Pdomain.id st;
+      if t.nstats = Array.length t.stats then begin
+        let grown = Array.make (max 8 (2 * t.nstats)) st in
+        Array.blit t.stats 0 grown 0 t.nstats;
+        t.stats <- grown
+      end;
+      t.stats.(t.nstats) <- st;
+      t.nstats <- t.nstats + 1;
       st
 
 let ewma_gauge t d =
-  match Hashtbl.find_opt t.ewma_gauges d.Pdomain.id with
-  | Some g -> g
-  | None ->
+  match Hashtbl.find t.ewma_gauges d.Pdomain.id with
+  | g -> g
+  | exception Not_found ->
       let g =
         Metrics.gauge (Engine.metrics t.engine)
           ~labels:[ ("domain", string_of_int d.Pdomain.id) ]
@@ -331,10 +347,10 @@ let ewma_gauge t d =
       Hashtbl.replace t.ewma_gauges d.Pdomain.id g;
       g
 
-let ewma_of_id t ~now id =
-  match Hashtbl.find_opt t.ewmas id with
-  | Some st -> decayed t ~now st
-  | None -> 0.0
+let[@inline] ewma_of_id t ~now id =
+  match Hashtbl.find t.ewmas id with
+  | st -> decayed t ~now st
+  | exception Not_found -> 0.0
 
 let context_miss_ewma t d = ewma_of_id t ~now:(Engine.now t.engine) d.Pdomain.id
 
@@ -400,6 +416,14 @@ let prod t ~now c d =
   Metrics.Counter.incr t.c_prods;
   Hashtbl.replace t.prodded c.Engine.idx (now, d.Pdomain.id)
 
+(* The EWMA of the context [c] holds, as a prod victim for [d]: [d]'s own
+   context is never a victim, an untagged processor always the best. *)
+let[@inline] held_ewma t ~now d c =
+  match c.Engine.context with
+  | Some id when id = d.Pdomain.id -> infinity
+  | Some id -> ewma_of_id t ~now id
+  | None -> neg_infinity
+
 let note_context_miss t d =
   Metrics.Counter.incr (miss_counter t d);
   note_adapt_miss t;
@@ -408,67 +432,54 @@ let note_context_miss t d =
   st.ms_ewma <- decayed t ~now st +. 1.0;
   st.ms_at <- now;
   (match Engine.self_opt t.engine with
-  | Some th -> (
-      match Engine.thread_cpu t.engine th with
-      | Some c -> st.ms_cpu <- c.Engine.idx
-      | None -> ())
+  | Some th ->
+      let i = Engine.thread_cpu_index th in
+      if i >= 0 then st.ms_cpu <- i
   | None -> ());
   Metrics.Gauge.set (ewma_gauge t d) st.ms_ewma;
   if t.caching then begin
     let mine = st.ms_ewma in
     let cpus = Engine.cpus t.engine in
-    match Engine.topology t.engine with
+    let candidate = ref (-1) and candidate_ewma = ref infinity in
+    (match Engine.topology t.engine with
     | None ->
-        let candidate = ref None and candidate_ewma = ref infinity in
-        Array.iter
-          (fun c ->
-            if c.Engine.running = None then begin
-              let ctx =
-                match c.Engine.context with
-                | Some id when id = d.Pdomain.id -> infinity (* already ours *)
-                | Some id -> ewma_of_id t ~now id
-                | None -> neg_infinity (* untagged: always the best victim *)
-              in
-              if ctx +. t.margin < mine && ctx < !candidate_ewma then begin
-                candidate := Some c;
-                candidate_ewma := ctx
-              end
-            end)
-          cpus;
-        (match !candidate with Some c -> prod t ~now c d | None -> ())
+        for i = 0 to Array.length cpus - 1 do
+          let c = cpus.(i) in
+          if c.Engine.running = None then begin
+            let ctx = held_ewma t ~now d c in
+            if ctx +. t.margin < mine && ctx < !candidate_ewma then begin
+              candidate := i;
+              candidate_ewma := ctx
+            end
+          end
+        done
     | Some topo ->
         (* Distance-weighted: a prefetched context far from where the
            domain's calls arrive is worth less (the caller pays the
            cross-cluster exchange to reach it), so the miss EWMA is
            divided by the prod multiplier before the margin test, and
            near candidates win ties. *)
-        let candidate = ref None and candidate_ewma = ref infinity in
         let candidate_mult = ref infinity in
-        Array.iter
-          (fun c ->
-            if c.Engine.running = None then begin
-              let ctx =
-                match c.Engine.context with
-                | Some id when id = d.Pdomain.id -> infinity
-                | Some id -> ewma_of_id t ~now id
-                | None -> neg_infinity
-              in
-              let mult =
-                if st.ms_cpu < 0 then 1.0
-                else Cost_model.prod_mult topo st.ms_cpu c.Engine.idx
-              in
-              if
-                ctx +. t.margin < mine /. mult
-                && (mult < !candidate_mult
-                   || (mult = !candidate_mult && ctx < !candidate_ewma))
-              then begin
-                candidate := Some c;
-                candidate_ewma := ctx;
-                candidate_mult := mult
-              end
-            end)
-          cpus;
-        (match !candidate with Some c -> prod t ~now c d | None -> ())
+        for i = 0 to Array.length cpus - 1 do
+          let c = cpus.(i) in
+          if c.Engine.running = None then begin
+            let ctx = held_ewma t ~now d c in
+            let mult =
+              if st.ms_cpu < 0 then 1.0
+              else Cost_model.prod_mult topo st.ms_cpu c.Engine.idx
+            in
+            if
+              ctx +. t.margin < mine /. mult
+              && (mult < !candidate_mult
+                 || (mult = !candidate_mult && ctx < !candidate_ewma))
+            then begin
+              candidate := i;
+              candidate_ewma := ctx;
+              candidate_mult := mult
+            end
+          end
+        done);
+    if !candidate >= 0 then prod t ~now cpus.(!candidate) d
   end
 
 (* Engine idle consult (installed on the engine at [boot]): a processor
@@ -485,25 +496,27 @@ let on_cpu_idle t (c : Engine.cpu) =
   then begin
     let now = Engine.now t.engine in
     let topo = Engine.topology t.engine in
-    (* Under a topology a domain's heat is discounted by the distance
-       between this idle CPU and the CPU its misses arrive on: preloading
-       a context two clusters away from its callers helps nobody. *)
-    let weighted st e =
-      match topo with
-      | None -> e
-      | Some topo ->
-          if st.ms_cpu < 0 then e
-          else e /. Cost_model.prod_mult topo c.Engine.idx st.ms_cpu
-    in
+    (* The hottest domain: highest EWMA, lowest id on ties, so the pick
+       does not depend on scan order. Under a topology a domain's heat is
+       discounted by the distance between this idle CPU and the CPU its
+       misses arrive on: preloading a context two clusters away from its
+       callers helps nobody. *)
     let best_id = ref (-1) and best_e = ref 0.0 in
-    Hashtbl.iter
-      (fun id st ->
-        let e = weighted st (decayed t ~now st) in
-        if e > !best_e || (e = !best_e && !best_id >= 0 && id < !best_id) then begin
-          best_id := id;
-          best_e := e
-        end)
-      t.ewmas;
+    for i = 0 to t.nstats - 1 do
+      let st = t.stats.(i) in
+      let e = decayed t ~now st in
+      let e =
+        match topo with
+        | Some topo when st.ms_cpu >= 0 ->
+            e /. Cost_model.prod_mult topo c.Engine.idx st.ms_cpu
+        | Some _ | None -> e
+      in
+      let id = st.ms_id in
+      if e > !best_e || (e = !best_e && !best_id >= 0 && id < !best_id) then begin
+        best_id := id;
+        best_e := e
+      end
+    done;
     if !best_id >= 0 then begin
       let already =
         match c.Engine.context with Some id -> id = !best_id | None -> false

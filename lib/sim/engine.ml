@@ -55,7 +55,12 @@ type cpu = {
   mutable context : int option;
   tlb : Tlb.t;
   mutable busy : Time.t;
-  rq : (int * thread) Queue.t;
+  mutable rq_stamps : int array;
+  mutable rq_slots : thread option array;
+      (* this processor's run queue: a power-of-two ring of (enqueue
+         stamp, [th.some_self]) cells, so push and pop allocate nothing *)
+  mutable rq_head : int; (* slot of the oldest cell *)
+  mutable rq_len : int; (* cells in the ring, ghosts included *)
   mutable steals : int;
   mutable steals_tagged : int;
   mutable steals_near : int;
@@ -115,6 +120,18 @@ type t = {
       (* global tiebreak counter (standard models), or the coordinator's
          engine-level key space (isolated models) *)
   mutable ready_seq : int; (* global enqueue stamp: cross-queue FIFO age *)
+  mutable rq_live : int;
+      (* threads holding a live run-queue entry ([rq_seq >= 0]); a free
+         processor skips the steal scan when it is 0. Standard models
+         only: isolated models never steal and leave it at 0. *)
+  (* Steal-scan scratch: the oldest live entry and the oldest whose
+     domain matches the thief's context, with their victim queues. *)
+  mutable sc_best : thread option;
+  mutable sc_best_seq : int;
+  mutable sc_victim : int;
+  mutable sc_tag : thread option;
+  mutable sc_tag_seq : int;
+  mutable sc_victim_tag : int;
   mutable rr_next : int; (* round-robin target for unpinned enqueues *)
   mutable now_ : Time.t;
   mutable exec_cpu_ : int; (* serial loops: CPU context of current event *)
@@ -136,6 +153,9 @@ type t = {
   mutable fn_block : thread -> unit;
   mutable fn_yield : thread -> unit;
   mutable fn_spin : thread -> unit;
+  mutable handler : (unit, unit) Effect.Deep.handler;
+      (* the one effect handler every thread body runs under; it finds
+         the performing thread through [current] *)
   mutable on_idle : cpu -> unit;
       (* consulted when a processor finds no runnable thread anywhere
          (own queue and steal scan both empty); the kernel hangs its
@@ -240,6 +260,10 @@ let ncats = List.length Category.all
    engines from filtering a handful of threads on every spawn. *)
 let reap_floor = 64
 
+(* Initial run-queue ring capacity (a power of two); rings double when
+   full and never shrink. *)
+let rq_initial = 8
+
 let create ?(processors = 1) ?domains cm =
   assert (processors > 0);
   let domains =
@@ -260,7 +284,10 @@ let create ?(processors = 1) ?domains cm =
           context = None;
           tlb = Tlb.create ~capacity:cm.Cost_model.tlb_capacity ~tagged:cm.Cost_model.tlb_tagged;
           busy = Time.zero;
-          rq = Queue.create ();
+          rq_stamps = Array.make rq_initial (-1);
+          rq_slots = Array.make rq_initial None;
+          rq_head = 0;
+          rq_len = 0;
           steals = 0;
           steals_tagged = 0;
           steals_near = 0;
@@ -326,6 +353,13 @@ let create ?(processors = 1) ?domains cm =
       window_id = 0;
       key_seq = 0;
       ready_seq = 0;
+      rq_live = 0;
+      sc_best = None;
+      sc_best_seq = max_int;
+      sc_victim = -1;
+      sc_tag = None;
+      sc_tag_seq = max_int;
+      sc_victim_tag = -1;
       rr_next = 0;
       now_ = Time.zero;
       exec_cpu_ = -1;
@@ -343,6 +377,12 @@ let create ?(processors = 1) ?domains cm =
       fn_block = ignore;
       fn_yield = ignore;
       fn_spin = ignore;
+      handler =
+        {
+          retc = ignore;
+          exnc = raise;
+          effc = (fun (type a) (_ : a Effect.t) -> None);
+        };
       on_idle = ignore;
       c_steals =
         Metrics.counter metrics_ ~labels:[ ("kind", "retag") ] "sim.steals";
@@ -449,7 +489,7 @@ let thread_id th = th.tid
 let thread_name th = th.name
 let thread_domain th = th.domain
 
-let thread_cpu t th = if th.cpu >= 0 then Some t.cpus_.(th.cpu) else None
+let thread_cpu_index th = th.cpu
 
 let alive th = match th.state with Done | Failed -> false | _ -> true
 
@@ -562,11 +602,11 @@ let[@inline] cpu_free c =
    home-cluster state from the victim queue's CPU. Without a topology
    ([topo = None]) the arithmetic is byte-identical to the flat engine
    (no float traffic). *)
-let place ?(stolen = false) ?(victim = -1) t th c =
+let place ~stolen ~victim t th c =
   assert (cpu_free c);
   assert (th.cpu = -1);
   let prev = th.last_cpu in
-  c.running <- Some th;
+  c.running <- th.some_self;
   th.cpu <- c.idx;
   th.last_cpu <- c.idx;
   th.state <- Running;
@@ -682,7 +722,10 @@ let pick_cpu_idx t th =
    domain matches its loaded context (no retag, preserving the §3.4
    domain-caching semantics) and otherwise taking the oldest thread
    anywhere. Stolen threads are invalidated in place via the stamp; the
-   ghost queue cell is skipped when reached.
+   ghost queue cell is skipped when reached. A queue is a growable
+   power-of-two ring of (stamp, [th.some_self]) cells, and the engine
+   counts the threads holding a live entry ([rq_live]): neither changes
+   which thread is taken, only what it costs to find it.
 
    Isolated models disable stealing entirely (a steal is a zero-latency
    cross-CPU interaction) and stamp queues per-CPU: the values then only
@@ -691,6 +734,19 @@ let pick_cpu_idx t th =
 
 let[@inline] entry_runnable th =
   match th.state with Embryo | Ready -> true | _ -> false
+
+(* Double a full ring, copying its cells oldest first to slot 0. *)
+let rq_grow c =
+  let cap = Array.length c.rq_stamps in
+  let stamps = Array.make (2 * cap) (-1) and slots = Array.make (2 * cap) None in
+  for k = 0 to c.rq_len - 1 do
+    let j = (c.rq_head + k) land (cap - 1) in
+    stamps.(k) <- c.rq_stamps.(j);
+    slots.(k) <- c.rq_slots.(j)
+  done;
+  c.rq_stamps <- stamps;
+  c.rq_slots <- slots;
+  c.rq_head <- 0
 
 let ready_push t th =
   let n = Array.length t.cpus_ in
@@ -713,29 +769,48 @@ let ready_push t th =
     else begin
       let s = t.ready_seq in
       t.ready_seq <- s + 1;
+      if th.rq_seq < 0 then t.rq_live <- t.rq_live + 1;
       s
     end
   in
   th.rq_seq <- seq;
-  Queue.push (seq, th) c.rq
+  if c.rq_len = Array.length c.rq_stamps then rq_grow c;
+  let j = (c.rq_head + c.rq_len) land (Array.length c.rq_stamps - 1) in
+  c.rq_stamps.(j) <- seq;
+  c.rq_slots.(j) <- th.some_self;
+  c.rq_len <- c.rq_len + 1
+
+(* [th] leaves the run queues: its cell (wherever it sits) is a ghost
+   from now on. *)
+let[@inline] take_entry t th =
+  th.rq_seq <- -1;
+  if not t.isolated then t.rq_live <- t.rq_live - 1
 
 (* Oldest live entry of a processor's own queue, discarding ghosts and
-   stale entries as they surface at the head. *)
-let rec pop_own q =
-  match Queue.take_opt q with
-  | None -> None
-  | Some (seq, th) ->
-      if th.rq_seq = seq && entry_runnable th then begin
-        th.rq_seq <- -1;
-        Some th
-      end
-      else pop_own q
+   stale entries as they surface at the head. The result is the
+   thread's own [some_self], so a hit allocates nothing either. *)
+let rec pop_own t c =
+  if c.rq_len = 0 then None
+  else begin
+    let h = c.rq_head in
+    let seq = c.rq_stamps.(h) and cell = c.rq_slots.(h) in
+    c.rq_slots.(h) <- None;
+    c.rq_head <- (h + 1) land (Array.length c.rq_stamps - 1);
+    c.rq_len <- c.rq_len - 1;
+    match cell with
+    | Some th when th.rq_seq = seq && entry_runnable th ->
+        take_entry t th;
+        cell
+    | Some _ | None -> pop_own t c
+  end
 
 (* Steal for the free processor [c]: scan other queues for the oldest
    live entry, tracking separately the oldest whose domain matches [c]'s
    loaded context. Preference order: tagged-domain match first (placement
    then charges no context switch), else oldest overall. The chosen
-   thread is invalidated in place (its queue keeps a ghost cell).
+   thread is invalidated in place (its queue keeps a ghost cell) and
+   placed on [c]. The candidates live in the engine's [sc_*] scratch
+   fields, so a scan allocates nothing.
 
    Without a topology the scan covers every queue at once (the flat
    engine's behaviour, byte-identical). With one, and [near_steal] set,
@@ -745,31 +820,55 @@ let rec pop_own q =
    ablation) the scan stays flat but the distance costs and near/far
    counters still apply. *)
 
-(* Fold queue [i] into the running best/best-tagged candidates. *)
-let steal_scan t c tag i best best_seq best_tag best_tag_seq victim
-    victim_tag =
+let scan_reset t =
+  t.sc_best <- None;
+  t.sc_best_seq <- max_int;
+  t.sc_victim <- -1;
+  t.sc_tag <- None;
+  t.sc_tag_seq <- max_int;
+  t.sc_victim_tag <- -1
+
+(* Fold queue [i] into the scratch candidates. Stamps increase along a
+   queue, so its first live entry and its first live tagged entry are
+   the only ones that can win; the walk stops once it holds both. *)
+let steal_scan t c tag i =
   (* Queues whose owner is itself free are off-limits: that processor
      drains its own queue in the same dispatch pass, and stealing from
      it would defeat the home-processor preference. *)
-  if i <> c.idx && not (cpu_free t.cpus_.(i)) then
-    Queue.iter
-      (fun (seq, th) ->
-        if th.rq_seq = seq && entry_runnable th then begin
-          if seq < !best_seq then begin
-            best_seq := seq;
-            best := Some th;
-            victim := i
-          end;
-          if th.domain = tag && seq < !best_tag_seq then begin
-            best_tag_seq := seq;
-            best_tag := Some th;
-            victim_tag := i
+  let q = t.cpus_.(i) in
+  if i <> c.idx && not (cpu_free q) then begin
+    let mask = Array.length q.rq_stamps - 1 in
+    let k = ref 0 and seen_live = ref false and seen_tag = ref false in
+    while !k < q.rq_len && not (!seen_live && !seen_tag) do
+      let j = (q.rq_head + !k) land mask in
+      (match q.rq_slots.(j) with
+      | Some th as cell ->
+          let seq = q.rq_stamps.(j) in
+          if th.rq_seq = seq && entry_runnable th then begin
+            if not !seen_live then begin
+              seen_live := true;
+              if seq < t.sc_best_seq then begin
+                t.sc_best_seq <- seq;
+                t.sc_best <- cell;
+                t.sc_victim <- i
+              end
+            end;
+            if (not !seen_tag) && th.domain = tag then begin
+              seen_tag := true;
+              if seq < t.sc_tag_seq then begin
+                t.sc_tag_seq <- seq;
+                t.sc_tag <- cell;
+                t.sc_victim_tag <- i
+              end
+            end
           end
-        end)
-      t.cpus_.(i).rq
+      | None -> ());
+      incr k
+    done
+  end
 
 let take_steal t c th ~tagged ~victim =
-  th.rq_seq <- -1;
+  take_entry t th;
   if tagged then begin
     c.steals_tagged <- c.steals_tagged + 1;
     Metrics.Counter.incr t.c_steals_tagged
@@ -788,62 +887,62 @@ let take_steal t c th ~tagged ~victim =
       | Cost_model.Local | Cost_model.Same_cluster ->
           c.steals_near <- c.steals_near + 1;
           Metrics.Counter.incr t.c_steals_near));
-  Some (th, victim)
+  place ~stolen:true ~victim t th c
+
+(* Take the scan's pick, if any: the tagged candidate first. *)
+let steal_take t c =
+  match t.sc_tag with
+  | Some th ->
+      take_steal t c th ~tagged:true ~victim:t.sc_victim_tag;
+      true
+  | None -> (
+      match t.sc_best with
+      | Some th ->
+          take_steal t c th ~tagged:false ~victim:t.sc_victim;
+          true
+      | None -> false)
+
+let[@inline] context_tag c = match c.context with Some d -> d | None -> -1
 
 let steal_flat t c =
-  let n = Array.length t.cpus_ in
-  let best = ref None and best_seq = ref max_int in
-  let best_tag = ref None and best_tag_seq = ref max_int in
-  let victim = ref (-1) and victim_tag = ref (-1) in
-  let tag = match c.context with Some d -> d | None -> -1 in
-  for i = 0 to n - 1 do
-    steal_scan t c tag i best best_seq best_tag best_tag_seq victim victim_tag
+  let tag = context_tag c in
+  scan_reset t;
+  for i = 0 to Array.length t.cpus_ - 1 do
+    steal_scan t c tag i
   done;
-  match !best_tag with
-  | Some th -> take_steal t c th ~tagged:true ~victim:!victim_tag
-  | None -> (
-      match !best with
-      | Some th -> take_steal t c th ~tagged:false ~victim:!victim
-      | None -> None)
+  steal_take t c
 
 let steal_ring t c =
   let ring = t.victims.(c.idx) in
   let near = t.victims_near.(c.idx) in
-  let tag = match c.context with Some d -> d | None -> -1 in
-  let scan_seg lo hi =
-    let best = ref None and best_seq = ref max_int in
-    let best_tag = ref None and best_tag_seq = ref max_int in
-    let victim = ref (-1) and victim_tag = ref (-1) in
-    for k = lo to hi - 1 do
-      steal_scan t c tag
-        ring.(k)
-        best best_seq best_tag best_tag_seq victim victim_tag
-    done;
-    match !best_tag with
-    | Some th -> take_steal t c th ~tagged:true ~victim:!victim_tag
-    | None -> (
-        match !best with
-        | Some th -> take_steal t c th ~tagged:false ~victim:!victim
-        | None -> None)
-  in
-  match scan_seg 0 near with
-  | Some _ as hit -> hit
-  | None -> scan_seg near (Array.length ring)
+  let tag = context_tag c in
+  scan_reset t;
+  for k = 0 to near - 1 do
+    steal_scan t c tag ring.(k)
+  done;
+  steal_take t c
+  || begin
+       scan_reset t;
+       for k = near to Array.length ring - 1 do
+         steal_scan t c tag ring.(k)
+       done;
+       steal_take t c
+     end
 
 let steal t c =
   match t.topo with
   | Some topo when topo.Cost_model.near_steal -> steal_ring t c
   | _ -> steal_flat t c
 
+(* With no live entry anywhere ([rq_live = 0]) a steal scan cannot find
+   one, so it is skipped; the idle hook is consulted exactly as after an
+   empty scan. *)
 let dispatch_cpu t c =
-  match pop_own c.rq with
-  | Some th -> place t th c
+  match pop_own t c with
+  | Some th -> place ~stolen:false ~victim:(-1) t th c
   | None ->
-      if not t.isolated then begin
-        match steal t c with
-        | Some (th, victim) -> place ~stolen:true ~victim t th c
-        | None -> t.on_idle c
-      end
+      if not t.isolated then
+        if t.rq_live = 0 || not (steal t c) then t.on_idle c
 
 (* Offer every free processor a dispatch. Inside a parallel window only
    the executing partition's processors are scanned; that loses nothing
@@ -966,37 +1065,43 @@ let handle_delay t th cat d k =
   th.cont <- k;
   push_to t ~cpu:th.cpu ~time:(Time.add (now t) d') th.run_ev
 
-(* The two effect handlers are built once per thread, not per effect;
-   their operands come from the thread record, where [delay]/[suspend]
-   left them just before performing. *)
-let start t th body =
+(* The thread a handler clause runs for: [exec] makes it current before
+   starting or resuming it and clears it only after control returns. *)
+let performer t =
+  match get_current t with Some th -> th | None -> assert false
+
+(* One effect handler serves every thread of the engine, so spawning
+   builds no closures. Effect operands come from the thread record, where
+   [delay]/[suspend] left them just before performing. *)
+let make_handler t : (unit, unit) Effect.Deep.handler =
   let on_delay =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        let th = performer t in
         handle_delay t th th.eff_cat th.eff_dur (K k))
   in
   let on_suspend =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        let th = performer t in
         th.cont <- K k;
         th.eff_fn th)
   in
-  Effect.Deep.match_with body ()
-    {
-      retc = (fun () -> finish t th None);
-      exnc =
-        (fun e ->
-          match e with
-          | Thread_killed -> finish t th None
-          | e -> finish t th (Some e));
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) Effect.Deep.continuation -> unit) option ->
-          match eff with
-          | Delay -> on_delay
-          | Suspend -> on_suspend
-          | _ -> None);
-    }
+  {
+    retc = (fun () -> finish t (performer t) None);
+    exnc =
+      (fun e ->
+        match e with
+        | Thread_killed -> finish t (performer t) None
+        | e -> finish t (performer t) (Some e));
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Delay -> on_delay
+        | Suspend -> on_suspend
+        | _ -> None);
+  }
 
 let exec t th =
   set_current t th.some_self;
@@ -1013,7 +1118,7 @@ let exec t th =
       match th.body with
       | Some body ->
           th.body <- None;
-          start t th body
+          Effect.Deep.match_with body () t.handler
       | None -> Effect.Deep.continue (take_cont th) ()));
   set_current t None
 
@@ -1327,7 +1432,7 @@ let handoff t ~to_ =
       me.state <- Blocked;
       let c = t.cpus_.(me.cpu) in
       free_cpu_of t me;
-      place t to_ c)
+      place ~stolen:false ~victim:(-1) t to_ c)
 
 let yield_to t ~to_ =
   reject_if_isolated t "yield_to";
@@ -1337,7 +1442,7 @@ let yield_to t ~to_ =
       let c = t.cpus_.(me.cpu) in
       free_cpu_of t me;
       ready_push t me;
-      place t to_ c)
+      place ~stolen:false ~victim:(-1) t to_ c)
 
 let charge_tlb_misses t misses =
   if misses > 0 then begin
@@ -1375,7 +1480,7 @@ let exchange_processors t ~target =
   old.running <- None;
   th.cpu <- target.idx;
   th.last_cpu <- target.idx;
-  target.running <- Some th;
+  target.running <- th.some_self;
   delay ~category:Category.Exchange t t.cm.Cost_model.processor_exchange;
   try_dispatch t
 
@@ -1387,7 +1492,7 @@ let wake_now t th =
       if tracing t then
         emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Wake { thread = th.name });
       let i = pick_cpu_idx t th in
-      if i >= 0 then place t th t.cpus_.(i)
+      if i >= 0 then place ~stolen:false ~victim:(-1) t th t.cpus_.(i)
       else begin
         th.state <- Ready;
         ready_push t th
@@ -1432,7 +1537,7 @@ let wake t th =
 let place_on t th c =
   reject_if_isolated t "place_on";
   assert (th.state = Blocked);
-  place t th c
+  place ~stolen:false ~victim:(-1) t th c
 
 let ready_enqueue t th =
   reject_if_isolated t "ready_enqueue";
@@ -1444,6 +1549,7 @@ let ready_enqueue t th =
   | Embryo | Ready | Running | Spinning | Done | Failed -> ()
 
 let set_idle_hook t f = t.on_idle <- f
+let queued_threads t = t.rq_live
 let set_barrier_hook t f = t.on_barrier <- f
 let topology t = t.topo
 
@@ -1504,6 +1610,7 @@ let cancel_timer _t tmr = tmr.t_cancelled <- true
 (* --- engine-closure binding (must follow the operations they close over) *)
 
 let bind_fns t =
+  t.handler <- make_handler t;
   t.fn_block <-
     (fun th ->
       if tracing t then

@@ -46,11 +46,15 @@ type cpu = {
   mutable context : int option;  (** domain whose VM context is loaded *)
   tlb : Tlb.t;
   mutable busy : Time.t;  (** cumulative busy time, for utilization *)
-  rq : (int * thread) Queue.t;
-      (** this processor's own run queue: (enqueue stamp, thread) in FIFO
-          order; stamps are globally increasing so cross-queue age is
-          comparable, and a cell whose stamp disagrees with the thread is
-          a ghost left behind by a steal *)
+  mutable rq_stamps : int array;
+  mutable rq_slots : thread option array;
+      (** this processor's own run queue, a power-of-two ring of
+          (enqueue stamp, thread) cells in FIFO order (internal); stamps
+          are globally increasing so cross-queue age is comparable, and a
+          cell whose stamp disagrees with the thread is a ghost left
+          behind by a steal *)
+  mutable rq_head : int;  (** ring slot of the oldest cell (internal) *)
+  mutable rq_len : int;  (** cells in the ring, ghosts included (internal) *)
   mutable steals : int;  (** threads stolen from other queues, retagging *)
   mutable steals_tagged : int;
       (** steals of threads already in this processor's loaded context *)
@@ -127,7 +131,10 @@ val run : ?until:Time.t -> t -> unit
 val thread_id : thread -> int
 val thread_name : thread -> string
 val thread_domain : thread -> int
-val thread_cpu : t -> thread -> cpu option
+
+val thread_cpu_index : thread -> int
+(** Index of the processor the thread is on, -1 when it is on none. *)
+
 val alive : thread -> bool
 
 val has_pending_interrupt : thread -> bool
@@ -230,6 +237,12 @@ val set_idle_hook : t -> (cpu -> unit) -> unit
     idle-processor prod policy (§3.4 domain caching) here: the hook may
     retag the processor's context but runs at engine level and must not
     perform effects. Default: ignore. *)
+
+val queued_threads : t -> int
+(** Threads waiting in a run queue (each holds one live entry; ghost
+    cells left by steals do not count). When it is 0 a free processor
+    skips the steal scan and goes straight to the idle hook. Standard
+    models only: isolated models never steal, and report 0. *)
 
 val total_steals : t -> int
 (** Threads taken from another processor's run queue since creation

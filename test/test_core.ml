@@ -567,7 +567,7 @@ let test_alloc_tlb_access_warm () =
   Alcotest.(check (float 0.0)) "warm Tlb.access allocates nothing" 0.0
     (words -. overhead)
 
-let test_alloc_delay_event () =
+let delay_loop_words_per_event () =
   let e = Engine.create Cost_model.cvax_firefly in
   let events = 10_000 in
   let words = ref 0.0 in
@@ -584,10 +584,112 @@ let test_alloc_delay_event () =
                done)
            -. overhead));
   Engine.run e;
-  let per_event = !words /. float_of_int events in
+  !words /. float_of_int events
+
+let test_alloc_delay_event () =
+  let per_event = delay_loop_words_per_event () in
   if per_event > 8.0 then
     Alcotest.failf "Engine.delay allocates %.2f words/event (budget 8)"
       per_event
+
+(* Sixteen threads homed on CPU 0 yield in a loop on 4 CPUs, so every
+   yield frees a processor that must steal from CPU 0's queue. Each yield
+   is one event; a steal-driven dispatch may allocate no more per event
+   than the plain delay loop. The window opens once the loop is warm and
+   counts every thread's yields, not only the measuring thread's; its own
+   two clock readings cost a few words in all, hence the 0.05 slack (an
+   event allocates whole words). *)
+let test_alloc_steal_loop () =
+  let e = Engine.create ~processors:4 Cost_model.cvax_firefly in
+  let yields = ref 0 and yields_at = ref 0 in
+  let words_at = ref 0.0 and words = ref 0.0 and events = ref 0 in
+  let overhead = alloc_overhead () in
+  for i = 0 to 15 do
+    ignore
+      (Engine.spawn e ~home:0 ~domain:0 (fun () ->
+           for k = 1 to 1_000 do
+             if i = 0 && k = 200 then begin
+               yields_at := !yields;
+               words_at := Gc.minor_words ()
+             end;
+             if i = 0 && k = 800 then begin
+               words := Gc.minor_words () -. !words_at -. overhead;
+               events := !yields - !yields_at
+             end;
+             Engine.yield e;
+             incr yields
+           done))
+  done;
+  Engine.run e;
+  let steals = Engine.total_steals e in
+  if steals < 10_000 then Alcotest.failf "only %d steals" steals;
+  let per_event = !words /. float_of_int !events in
+  let delay_per_event = delay_loop_words_per_event () in
+  if per_event > delay_per_event +. 0.05 then
+    Alcotest.failf
+      "steal-driven dispatch allocates %.2f words/event (delay loop %.2f)"
+      per_event delay_per_event
+
+(* Minor words per warm async Null call (issue, carrier spawn, await),
+   measured at 427 with the dev profile's native code (528 before
+   spawning stopped building per-thread handler closures and a [Printf]
+   name); ~10% headroom. *)
+let async_call_word_budget = 470.0
+
+let test_alloc_async_null_call () =
+  let w = make_world () in
+  let calls = 200 in
+  let words = ref 0.0 in
+  in_client w (fun () ->
+      let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+      let call () =
+        ignore (Api.await w.rt (Api.call_async w.rt b ~proc:"null" []))
+      in
+      for _ = 1 to 20 do
+        call ()
+      done;
+      let overhead = alloc_overhead () in
+      words :=
+        minor_words_of (fun () ->
+            for _ = 1 to calls do
+              call ()
+            done)
+        -. overhead);
+  let per_call = !words /. float_of_int calls in
+  if per_call > async_call_word_budget then
+    Alcotest.failf "async Null call allocates %.1f minor words/call (budget %.0f)"
+      per_call async_call_word_budget
+
+(* Minor words per warm synchronous Null call with domain caching on 16
+   processors, where every transfer consults the idle processors and
+   every idle processor consults the prod policy: measured at 448
+   (dev profile; 1 990 before the scheduling path stopped allocating);
+   ~10% headroom. *)
+let mp_call_word_budget = 490.0
+
+let test_alloc_null_call_caching_16 () =
+  let w = make_world ~processors:16 () in
+  Kernel.set_domain_caching w.kernel true;
+  let calls = 200 in
+  let words = ref 0.0 in
+  in_client w (fun () ->
+      let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+      for _ = 1 to 20 do
+        ignore (Api.call w.rt b ~proc:"null" [])
+      done;
+      let overhead = alloc_overhead () in
+      words :=
+        minor_words_of (fun () ->
+            for _ = 1 to calls do
+              ignore (Api.call w.rt b ~proc:"null" [])
+            done)
+        -. overhead);
+  let per_call = !words /. float_of_int calls in
+  if per_call > mp_call_word_budget then
+    Alcotest.failf
+      "Null call with caching on 16 CPUs allocates %.1f minor words/call \
+       (budget %.0f)"
+      per_call mp_call_word_budget
 
 (* --- retention gates --------------------------------------------------------
 
@@ -1279,6 +1381,12 @@ let () =
           Alcotest.test_case "null call budget" `Quick test_alloc_null_call;
           Alcotest.test_case "warm tlb access" `Quick test_alloc_tlb_access_warm;
           Alcotest.test_case "delay event budget" `Quick test_alloc_delay_event;
+          Alcotest.test_case "async null call budget" `Quick
+            test_alloc_async_null_call;
+          Alcotest.test_case "caching null call on 16 cpus" `Quick
+            test_alloc_null_call_caching_16;
+          Alcotest.test_case "steal loop vs delay loop" `Quick
+            test_alloc_steal_loop;
           Alcotest.test_case "untouched region unbacked" `Quick
             test_alloc_untouched_region;
           Alcotest.test_case "fresh histogram small" `Quick

@@ -689,6 +689,133 @@ let test_ready_queue_overflow_threads () =
   (* 10 threads x 10us over 2 cpus = 50us of makespan. *)
   check_time "makespan" (Time.us 50) (Engine.now e)
 
+(* --- Run queues and stealing ------------------------------------------------ *)
+
+(* One processor, 20 threads that each yield three times: every yield
+   re-enqueues behind the other 19, so the ring (initially 8 cells) must
+   grow twice and then wrap on every lap while keeping strict FIFO
+   order. *)
+let test_ring_grows_and_wraps () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let order = ref [] in
+  for i = 0 to 19 do
+    ignore
+      (Engine.spawn e ~domain:0 (fun () ->
+           for _ = 1 to 3 do
+             order := i :: !order;
+             Engine.yield e
+           done))
+  done;
+  (* Thread 0 was placed at spawn; the other 19 wait. *)
+  Alcotest.(check int) "queued after spawns" 19 (Engine.queued_threads e);
+  Engine.run e;
+  let lap = List.init 20 Fun.id in
+  Alcotest.(check (list int)) "round-robin" (lap @ lap @ lap) (List.rev !order);
+  Alcotest.(check int) "queues drained" 0 (Engine.queued_threads e);
+  Alcotest.(check int) "ring grew" 32
+    (Array.length (Engine.cpus e).(0).Engine.rq_stamps)
+
+(* CPU 0 runs a long thread while four threads homed there queue behind
+   it: u1 (domain 1), t1 (domain 5), u2 (domain 2), t2 (domain 5), in
+   that order. CPU 1, whose loaded context is domain 5, steals each time
+   it frees up:
+   - at 100 us t1, the oldest tagged entry, over the older untagged u1;
+   - at 150 us t1 yields and re-enqueues on CPU 0 behind t2, leaving a
+     ghost of its first entry ahead of t2; the scan must skip the ghost
+     and take t2;
+   - at 250 us t1 again (its live entry, tagged);
+   - from 300 us nothing tagged is left, so the oldest overall: u1, then
+     u2. *)
+let test_steal_preference () =
+  let e = Engine.create ~processors:2 cm_no_bus in
+  let runs = ref [] in
+  let note name = runs := (name, Engine.now e) :: !runs in
+  let on_cpu1 name body =
+    fun () ->
+      if (Engine.current_cpu e).Engine.idx <> 1 then
+        Alcotest.failf "%s ran on CPU %d" name (Engine.current_cpu e).Engine.idx;
+      body ()
+  in
+  let spawn ~name ~home ~domain body =
+    ignore (Engine.spawn e ~name ~home ~domain body)
+  in
+  spawn ~name:"long" ~home:0 ~domain:0 (fun () -> Engine.delay e (Time.us 1000));
+  spawn ~name:"b" ~home:1 ~domain:5
+    (on_cpu1 "b" (fun () ->
+         note "b";
+         Engine.delay e (Time.us 100)));
+  let short name domain =
+    spawn ~name ~home:0 ~domain
+      (on_cpu1 name (fun () ->
+           note name;
+           Engine.delay e (Time.us 100)))
+  in
+  short "u1" 1;
+  spawn ~name:"t1" ~home:0 ~domain:5
+    (on_cpu1 "t1" (fun () ->
+         note "t1";
+         Engine.delay e (Time.us 50);
+         Engine.yield e;
+         note "t1";
+         Engine.delay e (Time.us 50)));
+  short "u2" 2;
+  short "t2" 5;
+  Alcotest.(check int) "queued on cpu 0" 4 (Engine.queued_threads e);
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "cpu 1 run order"
+    [
+      ("b", Time.us 0);
+      ("t1", Time.us 100);
+      ("t2", Time.us 150);
+      ("t1", Time.us 250);
+      ("u1", Time.us 300);
+      ("u2", Time.us 400);
+    ]
+    (List.rev !runs);
+  let c1 = (Engine.cpus e).(1) in
+  Alcotest.(check int) "tagged steals" 3 c1.Engine.steals_tagged;
+  Alcotest.(check int) "retagging steals" 2 c1.Engine.steals;
+  Alcotest.(check int) "queues drained" 0 (Engine.queued_threads e)
+
+(* A fixed 4-CPU mix of homed yielders, unpinned workers and a
+   block/wake pair. The idle hook runs whenever a free processor finds
+   nothing to run or steal; skipping the steal scan when no thread is
+   queued must not change how often that is. The counts were measured
+   on the engine before the skip existed. *)
+let test_idle_hook_count () =
+  let e = Engine.create ~processors:4 cm in
+  let idle = ref 0 in
+  Engine.set_idle_hook e (fun _ -> incr idle);
+  for i = 0 to 5 do
+    ignore
+      (Engine.spawn e ~home:0 ~domain:(i mod 2) (fun () ->
+           for _ = 1 to 4 do
+             Engine.delay e (Time.us (5 + i));
+             Engine.yield e
+           done))
+  done;
+  for i = 0 to 2 do
+    ignore
+      (Engine.spawn e ~domain:(2 + i) (fun () ->
+           for _ = 1 to 3 do
+             Engine.delay e (Time.us 7)
+           done))
+  done;
+  let waiter =
+    Engine.spawn e ~domain:3 (fun () ->
+        Engine.block e;
+        Engine.delay e (Time.us 20))
+  in
+  ignore
+    (Engine.spawn e ~domain:4 (fun () ->
+         Engine.delay e (Time.us 40);
+         Engine.wake e waiter;
+         Engine.delay e (Time.us 10)));
+  Engine.run e;
+  Alcotest.(check int) "idle hook calls" 17 !idle;
+  Alcotest.(check int) "steals" 24 (Engine.total_steals e)
+
 (* --- Spinlock ----------------------------------------------------------- *)
 
 let test_spinlock_mutual_exclusion () =
@@ -1204,6 +1331,13 @@ let () =
           Alcotest.test_case "more threads than cpus" `Quick test_ready_queue_overflow_threads;
           Alcotest.test_case "fresh counters zero" `Quick
             test_fresh_engine_counters_zero;
+        ] );
+      ( "run queues",
+        [
+          Alcotest.test_case "ring grows and wraps" `Quick
+            test_ring_grows_and_wraps;
+          Alcotest.test_case "steal preference" `Quick test_steal_preference;
+          Alcotest.test_case "idle hook count" `Quick test_idle_hook_count;
         ] );
       ( "partitioned engine",
         [
