@@ -293,7 +293,9 @@ bench-host: build
 	          'engine_domains_speedup', 'engine_domains_efficiency', \
 	          'fig2_numa_wallclock_sec', 'numa_cluster_size', \
 	          'numa_cross_mult', 'numa_max_cpus', \
-	          'numa_aware_recovery', 'numa_blind_recovery']; \
+	          'numa_aware_recovery', 'numa_blind_recovery', \
+	          'call_words_sync_null', 'call_words_async_null', \
+	          'call_words_sync_mix']; \
 	  missing = [k for k in keys if k not in d]; \
 	  assert not missing, 'missing keys: %s' % missing; \
 	  bad = [k for k in keys if not isinstance(d[k], numbers.Number)]; \

@@ -25,6 +25,10 @@
      engine_domains_sec          same workload, engine_domains domains
      engine_domains_speedup      serial / domains
      engine_domains_efficiency   speedup / usable cores
+     call_words_sync_null        warm minor words per synchronous Null LRPC
+     call_words_async_null       warm minor words per async Null call + await
+     call_words_sync_mix         warm minor words per call of the paper's
+                                 four-test mix (Null, Add, BigIn, BigInOut)
 
    The environment keys host_cores and ocaml_version pin down what
    machine and toolchain produced the numbers, so cross-commit diffs of
@@ -47,6 +51,8 @@ module Parallel = Lrpc_harness.Parallel
 module Prng = Lrpc_util.Prng
 module Sizes = Lrpc_workload.Sizes
 module Soak = Lrpc_fault.Soak
+module Driver = Lrpc_workload.Driver
+module Api = Lrpc_core.Api
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 
@@ -196,6 +202,44 @@ let engine_domains_times () =
     failwith "engine end time differs across domain counts";
   (serial_dt, fanned_dt)
 
+(* Host words per call at the core call boundary: minor words allocated
+   by a warm LRPC on one simulated CPU, averaged over a fixed call count.
+   A count, not a clock: it repeats exactly from run to run of one build
+   (the dev and release profiles differ, as cross-module inlining does). *)
+let call_words call =
+  let calls = 1_000 in
+  let w = Driver.make_lrpc () in
+  let words = ref 0.0 in
+  ignore
+    (Lrpc_kernel.Kernel.spawn w.Driver.lw_kernel w.Driver.lw_client (fun () ->
+         let rt = w.Driver.lw_rt in
+         let b = Api.import rt ~domain:w.Driver.lw_client ~interface:"Bench" in
+         for i = 1 to 20 do
+           call rt b i
+         done;
+         let w0 = Gc.minor_words () in
+         let overhead = Gc.minor_words () -. w0 in
+         let w0 = Gc.minor_words () in
+         for i = 1 to calls do
+           call rt b i
+         done;
+         words := Gc.minor_words () -. w0 -. overhead));
+  Engine.run w.Driver.lw_engine;
+  if Engine.failures w.Driver.lw_engine <> [] then
+    failwith "call_words: a simulated thread died";
+  !words /. float_of_int calls
+
+let four_tests = Array.of_list (Driver.four_tests ())
+
+let sync_null rt b _ = ignore (Api.call rt b ~proc:"null" [])
+
+let async_null rt b _ =
+  ignore (Api.await rt (Api.call_async rt b ~proc:"null" []))
+
+let sync_mix rt b i =
+  let t = four_tests.(i land 3) in
+  ignore (Api.call rt b ~proc:t.Driver.proc t.Driver.args)
+
 (* The soak at its stress tier: the headroom reclaimed by the hot-path
    work pays for a call count well past the smoke configuration. *)
 let chaos_calls_per_sec () =
@@ -248,6 +292,9 @@ let () =
   let chaos = chaos_calls_per_sec () in
   let engine_serial, engine_fanned = engine_domains_times () in
   let suite_serial, suite_jobs = suite_times () in
+  let words_sync_null = call_words sync_null in
+  let words_async_null = call_words async_null in
+  let words_sync_mix = call_words sync_mix in
   let host_cores = Domain.recommended_domain_count () in
   (* Speedup can't exceed the cores actually available to the fan-out;
      efficiency divides by that, so 1.0 means "perfect use of this
@@ -291,6 +338,9 @@ let () =
   Printf.bprintf buf "  \"engine_domains_speedup\": %.2f,\n" engine_speedup;
   Printf.bprintf buf "  \"engine_domains_efficiency\": %.2f,\n"
     (efficiency ~ways:engine_domains engine_speedup);
+  Printf.bprintf buf "  \"call_words_sync_null\": %.1f,\n" words_sync_null;
+  Printf.bprintf buf "  \"call_words_async_null\": %.1f,\n" words_async_null;
+  Printf.bprintf buf "  \"call_words_sync_mix\": %.1f,\n" words_sync_mix;
   Printf.bprintf buf "  \"suite_serial_sec\": %.3f,\n" suite_serial;
   Printf.bprintf buf "  \"suite_jobs_sec\": %.3f,\n" suite_jobs;
   Printf.bprintf buf "  \"suite_speedup\": %.2f,\n" suite_speedup;

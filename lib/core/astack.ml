@@ -27,6 +27,7 @@ let allocate_batch rt ~client ~server ~proc ~size ~count ~primary =
             l_abandoned = false;
             l_caller = None;
             l_return_domain = None;
+            l_client = Some client;
           };
         a_primary = primary;
         a_shard = 0;
@@ -356,21 +357,125 @@ let fail_waiters rt pool exn =
       end)
     pool.ap_waiters
 
-let checkout ?admit rt pb ~client ~server =
+(* Claim the head of [sh]'s free list under its lock. Lock-free in the
+   "never waits on a lock" sense: the scan below skips a shard whose lock
+   is held by someone else rather than spinning on it. The claim happens
+   at acquire time — the hold models the critical section's cost, so
+   concurrent scanners must not see a claimed A-stack as still free.
+
+   The scan's holder pre-check misses simultaneous arrivals (the
+   acquire's own instruction cost runs before the lock is taken, so a
+   whole round of same-instant checkouts passes the check and then
+   queues inside [Spinlock.acquire]); the spinlock's contended-acquire
+   counter catches exactly those, and feeds the same re-shard signal.
+
+   Returns the free list as it stood at the claim: its head is the
+   claimed A-stack, or it is empty when a timer grant drained the shard
+   while we spun (no yield point, unlikely). *)
+let claim_head rt pool e sh =
+  let waited = Spinlock.contended_acquires sh.ash_lock in
+  Spinlock.acquire sh.ash_lock;
+  if Spinlock.contended_acquires sh.ash_lock > waited then begin
+    Metrics.Counter.incr rt.c_shard_contended;
+    if rt.reshard <> None then pool.ap_contended <- pool.ap_contended + 1
+  end;
+  let claimed = sh.ash_free in
+  (match claimed with _ :: rest -> sh.ash_free <- rest | [] -> ());
+  (match Engine.delay ~category:Lrpc_sim.Category.Lock e (lock_hold rt) with
+  | () -> Spinlock.release sh.ash_lock
+  | exception ex ->
+      Spinlock.release sh.ash_lock;
+      raise ex);
+  claimed
+
+let taken e a =
+  a.a_last_used <- Engine.now e;
+  a
+
+(* Nothing claimable on the scan. Either every free A-stack (if any)
+   sits behind a held shard lock — fall back to the FIFO direct-grant
+   path rather than spin — or the pool is exhausted (paper §5.2). *)
+let checkout_slow ?admit rt pb ~client ~server e ~preferred ~contended =
   let pool = pb.pb_pool in
-  let starved =
-    match rt.faults with
-    | Some f -> (
-        match f.f_starvation ~proc:pb.pb_spec.I.proc_name with
-        | Some d -> Some (starve ?admit rt pool d)
-        | None -> None)
-    | None -> None
-  in
-  match starved with
-  | Some a ->
-      a.a_last_used <- Engine.now (engine rt);
-      a
-  | None -> (
+  if contended then begin
+    Metrics.Counter.incr rt.c_shard_contended;
+    if rt.reshard <> None then pool.ap_contended <- pool.ap_contended + 1;
+    taken e (timed_grant_wait ?admit rt pool (lock_hold rt))
+  end
+  else begin
+    Metrics.Counter.incr rt.c_pool_exhausted;
+    (* Queue-depth admission: a checkout that would queue behind a full
+       FIFO is refused here, before consuming anything, rather than
+       deepening a queue the sojourn target already condemns. Gated on
+       both an installed policy and an admission context, so bare
+       checkouts (tests, revocation paths) never shed. *)
+    (match (admit, rt.admission) with
+    | Some _, Some { adm_max_queue = Some m; _ } ->
+        let depth = waiting pool in
+        if depth >= m then
+          shed rt
+            ~reason:
+              (Printf.sprintf "A-stack FIFO full (%d waiters, limit %d)" depth
+                 m)
+    | _ -> ());
+    match rt.config.astack_exhaustion with
+    | `Wait -> taken e (wait_for_grant ?admit rt pool)
+    | `Allocate ->
+        (* Space contiguous to the original A-stacks is unlikely to be
+           found (§5.2); the extras validate more slowly. *)
+        let extras =
+          allocate_batch rt ~client ~server ~proc:pb.pb_spec
+            ~size:pool.ap_bytes ~count:1 ~primary:false
+        in
+        List.iter (fun a -> a.a_shard <- preferred) extras;
+        pool.ap_all <- pool.ap_all @ extras;
+        taken e (List.hd extras)
+  end
+
+(* Does shard [si] belong to scan pass [pass]? Pass 0 visits every shard;
+   under a topology, pass 1 visits the shards homed on the caller's
+   cluster [my] and pass 2 the rest. The shard index doubles as the
+   shard's home processor (never more shards than processors). *)
+let in_pass e ~pass ~my si =
+  pass = 0
+  ||
+  match Engine.topology e with
+  | Some topo -> (Lrpc_sim.Cost_model.cluster_of topo si = my) = (pass = 1)
+  | None -> true
+
+(* Visit the shards from the home shard [preferred] on, in rotation
+   order within each pass, claiming the first free A-stack behind an
+   unheld lock. [contended] records a free A-stack seen behind a held
+   lock. *)
+let rec scan ?admit rt pb ~client ~server e ~preferred ~pass ~my ~k
+    ~contended =
+  let pool = pb.pb_pool in
+  let nsh = Array.length pool.ap_shards in
+  if k >= nsh then
+    if pass = 1 then
+      scan ?admit rt pb ~client ~server e ~preferred ~pass:2 ~my ~k:0 ~contended
+    else checkout_slow ?admit rt pb ~client ~server e ~preferred ~contended
+  else
+    let si = (preferred + k) mod nsh in
+    let k = k + 1 in
+    if not (in_pass e ~pass ~my si) then
+      scan ?admit rt pb ~client ~server e ~preferred ~pass ~my ~k ~contended
+    else
+      let sh = pool.ap_shards.(si) in
+      if Spinlock.holder sh.ash_lock <> None then
+        scan ?admit rt pb ~client ~server e ~preferred ~pass ~my ~k
+          ~contended:(contended || sh.ash_free <> [])
+      else if sh.ash_free = [] then
+        scan ?admit rt pb ~client ~server e ~preferred ~pass ~my ~k ~contended
+      else
+        match claim_head rt pool e sh with
+        | a :: _ -> taken e a
+        | [] ->
+            scan ?admit rt pb ~client ~server e ~preferred ~pass ~my ~k
+              ~contended
+
+let checkout_pool ?admit rt pb ~client ~server =
+  let pool = pb.pb_pool in
   let e = engine rt in
   (* Re-shard review first (one pointer test with no policy installed):
      resizing before the scan keeps this checkout's view of the shard
@@ -380,127 +485,38 @@ let checkout ?admit rt pb ~client ~server =
   | None -> ()
   | Some rs ->
       pool.ap_checkouts <- pool.ap_checkouts + 1;
-      if
-        pool.ap_checkouts >= rs.rs_window && not (Engine.parallel_phase e)
+      if pool.ap_checkouts >= rs.rs_window && not (Engine.parallel_phase e)
       then review_pool rt rs pool);
   let nsh = Array.length pool.ap_shards in
   (* Home shard follows the calling processor, so steady-state checkouts
      on different processors touch different locks and free lists. *)
-  let preferred = if nsh = 1 then 0 else (Engine.current_cpu e).Engine.idx mod nsh in
-  let taken = ref None in
-  let contended = ref false in
-  (* Lock-free in the "never waits on a lock" sense: a shard whose lock
-     is held by someone else is skipped, not spun on. The claim happens
-     at acquire time — the hold models the critical section's cost, so
-     concurrent scanners must not see a claimed A-stack as still free.
+  let cpu = (Engine.current_cpu e).Engine.idx in
+  let preferred = if nsh = 1 then 0 else cpu mod nsh in
+  match Engine.topology e with
+  | Some topo when nsh > 1 ->
+      (* Visit shards homed on the caller's cluster before paying a
+         cross-cluster cache pull. *)
+      scan ?admit rt pb ~client ~server e ~preferred ~pass:1
+        ~my:(Lrpc_sim.Cost_model.cluster_of topo cpu)
+        ~k:0 ~contended:false
+  | Some _ | None ->
+      scan ?admit rt pb ~client ~server e ~preferred ~pass:0 ~my:0 ~k:0
+        ~contended:false
 
-     The holder pre-check misses simultaneous arrivals (the acquire's
-     own instruction cost runs before the lock is taken, so a whole
-     round of same-instant checkouts passes the check and then queues
-     inside [Spinlock.acquire]); the spinlock's contended-acquire
-     counter catches exactly those, and feeds the same re-shard
-     signal. *)
-  let try_shard si =
-    let sh = pool.ap_shards.(si) in
-    if Spinlock.holder sh.ash_lock <> None then begin
-      if sh.ash_free <> [] then contended := true
-    end
-    else if sh.ash_free <> [] then begin
-      let waited = Spinlock.contended_acquires sh.ash_lock in
-      Spinlock.acquire sh.ash_lock;
-      if Spinlock.contended_acquires sh.ash_lock > waited then begin
-        Metrics.Counter.incr rt.c_shard_contended;
-        if rt.reshard <> None then
-          pool.ap_contended <- pool.ap_contended + 1
-      end;
-      (match sh.ash_free with
-      | a :: rest ->
-          sh.ash_free <- rest;
-          taken := Some a
-      | [] -> () (* drained by a timer grant; no yield point, unlikely *));
-      Fun.protect
-        ~finally:(fun () -> Spinlock.release sh.ash_lock)
-        (fun () ->
-          Engine.delay ~category:Lrpc_sim.Category.Lock e (lock_hold rt));
-      if !taken <> None then raise_notrace Exit
-    end
-  in
-  (try
-     match Engine.topology e with
-     | Some topo when nsh > 1 ->
-         (* Shard index doubles as the shard's home processor (never
-            more shards than processors): visit shards homed on the
-            caller's cluster before paying a cross-cluster cache pull,
-            keeping the rotation order within each pass. *)
-         let my =
-           Lrpc_sim.Cost_model.cluster_of topo
-             (Engine.current_cpu e).Engine.idx
-         in
-         for k = 0 to nsh - 1 do
-           let si = (preferred + k) mod nsh in
-           if Lrpc_sim.Cost_model.cluster_of topo si = my then try_shard si
-         done;
-         for k = 0 to nsh - 1 do
-           let si = (preferred + k) mod nsh in
-           if Lrpc_sim.Cost_model.cluster_of topo si <> my then try_shard si
-         done
-     | Some _ | None ->
-         for k = 0 to nsh - 1 do
-           try_shard ((preferred + k) mod nsh)
-         done
-   with Exit -> ());
-  match !taken with
-  | Some a ->
-      a.a_last_used <- Engine.now e;
-      a
-  | None when !contended ->
-      (* Every free A-stack (if any) sits behind a held shard lock: fall
-         back to the FIFO direct-grant path rather than spin. *)
-      Metrics.Counter.incr rt.c_shard_contended;
-      if rt.reshard <> None then pool.ap_contended <- pool.ap_contended + 1;
-      let a = timed_grant_wait ?admit rt pool (lock_hold rt) in
-      a.a_last_used <- Engine.now e;
-      a
-  | None -> (
-      Metrics.Counter.incr rt.c_pool_exhausted;
-      (* Queue-depth admission: a checkout that would queue behind a
-         full FIFO is refused here, before consuming anything, rather
-         than deepening a queue the sojourn target already condemns.
-         Gated on both an installed policy and an admission context, so
-         bare checkouts (tests, revocation paths) never shed. *)
-      (match (admit, rt.admission) with
-      | Some _, Some { adm_max_queue = Some m; _ } ->
-          let depth = waiting pool in
-          if depth >= m then
-            shed rt
-              ~reason:
-                (Printf.sprintf "A-stack FIFO full (%d waiters, limit %d)"
-                   depth m)
-      | _ -> ());
-      match rt.config.astack_exhaustion with
-      | `Wait ->
-          let a = wait_for_grant ?admit rt pool in
-          a.a_last_used <- Engine.now e;
-          a
-      | `Allocate ->
-          (* Space contiguous to the original A-stacks is unlikely to be
-             found (§5.2); the extras validate more slowly. *)
-          let extras =
-            allocate_batch rt ~client ~server ~proc:pb.pb_spec
-              ~size:pool.ap_bytes ~count:1 ~primary:false
-          in
-          List.iter (fun a -> a.a_shard <- preferred) extras;
-          pool.ap_all <- pool.ap_all @ extras;
-          let a = List.hd extras in
-          a.a_last_used <- Engine.now e;
-          a))
+let checkout ?admit rt pb ~client ~server =
+  match rt.faults with
+  | Some f -> (
+      match f.f_starvation ~proc:pb.pb_spec.I.proc_name with
+      | Some d -> taken (engine rt) (starve ?admit rt pb.pb_pool d)
+      | None -> checkout_pool ?admit rt pb ~client ~server)
+  | None -> checkout_pool ?admit rt pb ~client ~server
 
 let checkin rt pb a =
   let pool = pb.pb_pool in
   let sh = pool.ap_shards.(a.a_shard) in
   let e = engine rt in
   Spinlock.acquire sh.ash_lock;
-  (* Grant-or-push at acquire time (see checkout): during the hold, a
+  (* Grant-or-push at acquire time (see [claim_head]): during the hold, a
      scanner on another processor sees the returned A-stack behind this
      held lock and takes the contended-fallback path rather than
      mis-reading the shard as empty. *)
@@ -511,9 +527,11 @@ let checkin rt pb a =
         sh.ash_free <- a :: sh.ash_free;
         None
   in
-  Fun.protect
-    ~finally:(fun () -> Spinlock.release sh.ash_lock)
-    (fun () -> Engine.delay ~category:Lrpc_sim.Category.Lock e (lock_hold rt));
+  (match Engine.delay ~category:Lrpc_sim.Category.Lock e (lock_hold rt) with
+  | () -> Spinlock.release sh.ash_lock
+  | exception ex ->
+      Spinlock.release sh.ash_lock;
+      raise ex);
   (* The wake itself happens outside the lock: the waiter resumes with the
      grant in hand and never touches the spinlock. *)
   match woken with

@@ -3,12 +3,18 @@ module Category = Lrpc_sim.Category
 
 let calls_completed rt = Metrics.Counter.value rt.c_calls_completed
 
-(* Ablation A4: the counterfactual global kernel lock. LRPC proper runs
-   this section lock-free. *)
-let klocked rt f =
+(* Ablation A4: the counterfactual global kernel lock, held across the
+   kernel's call- and return-side transfer sections. LRPC proper runs
+   them lock-free. Every section releases it on all exception paths. *)
+let enter_kernel rt =
   match rt.global_kernel_lock with
-  | Some lk -> Spinlock.with_lock lk ~hold:Lrpc_sim.Time.zero f
-  | None -> f ()
+  | Some lk -> Spinlock.acquire lk
+  | None -> ()
+
+let leave_kernel rt =
+  match rt.global_kernel_lock with
+  | Some lk -> Spinlock.release lk
+  | None -> ()
 
 (* Direct context switch into [target], or a processor exchange with an
    idle processor already holding the target context (paper §3.4). *)
@@ -34,12 +40,15 @@ let slot_type (s : Layout.slot) ~proc =
       | Some ty -> ty
       | None -> assert false)
 
+(* The slot walks below recurse over [plan.slots] directly, testing
+   membership as they go, so a call builds no filtered slot lists and no
+   closures. *)
+
 (* Copy A: the only call-time copy LRPC makes — client stack to A-stack. *)
-let marshal_inputs rt ?audit ~client ~region plan =
-  let e = engine rt in
-  List.iter
-    (fun (s : Layout.slot) ->
-      match s.Layout.svalue with
+let rec marshal_inputs e ?audit ~client ~region = function
+  | [] -> ()
+  | (s : Layout.slot) :: rest ->
+      (match s.Layout.svalue with
       | Some v ->
           let encoded =
             V.encode
@@ -50,51 +59,69 @@ let marshal_inputs rt ?audit ~client ~region plan =
           in
           Vm.write_bytes ~engine:e ?audit ~label:"A" ~by:client region
             ~off:s.Layout.offset encoded
-      | None -> ())
-    plan.Layout.slots
+      | None -> ());
+      marshal_inputs e ?audit ~client ~region rest
 
 (* Copy E: defensive copies of interpreted arguments, only when the
    export demands immutability (paper §3.5). *)
-let defensive_copies rt ?audit ~server ~region plan =
-  let e = engine rt in
-  List.iter
-    (fun (s : Layout.slot) ->
-      ignore
-        (Vm.read_bytes ~engine:e ?audit ~label:"E" ~by:server region
-           ~off:s.Layout.offset ~len:s.Layout.size))
-    (Layout.immutable_copy_slots plan)
+let rec defensive_copies e ?audit ~server ~region = function
+  | [] -> ()
+  | (s : Layout.slot) :: rest ->
+      if Layout.is_immutable_copy s then
+        ignore
+          (Vm.read_bytes ~engine:e ?audit ~label:"E" ~by:server region
+             ~off:s.Layout.offset ~len:s.Layout.size);
+      defensive_copies e ?audit ~server ~region rest
+
+let rec count_outputs n = function
+  | [] -> n
+  | s :: rest -> count_outputs (if Layout.is_output s then n + 1 else n) rest
+
+let rec store_slots ~server ~region ~proc slots outputs =
+  match (slots, outputs) with
+  | [], _ | _, [] -> ()
+  | (s : Layout.slot) :: rest, v :: vs ->
+      if Layout.is_output s then begin
+        let encoded = V.encode (slot_type s ~proc) v in
+        if Bytes.length encoded > s.Layout.size then
+          raise (V.Conformance_error "output exceeds its reserved slot");
+        Vm.poke ~by:server region ~off:s.Layout.offset encoded;
+        store_slots ~server ~region ~proc rest vs
+      end
+      else store_slots ~server ~region ~proc rest outputs
 
 (* The server stub places outputs straight into the A-stack slots; this
    is the procedure storing its results, not a copy (Table 3 counts only
    A and F for LRPC). Conformance is folded into the encode. *)
 let store_outputs ~server ~region ~proc plan outputs =
-  let out_slots = Layout.output_slots plan in
-  if List.length out_slots <> List.length outputs then
+  let slots = plan.Layout.slots in
+  let expected = count_outputs 0 slots in
+  if expected <> List.length outputs then
     invalid_arg
       (Printf.sprintf "%s returned %d outputs, expected %d" proc.I.proc_name
-         (List.length outputs) (List.length out_slots));
-  List.iter2
-    (fun (s : Layout.slot) v ->
-      let encoded = V.encode (slot_type s ~proc) v in
-      if Bytes.length encoded > s.Layout.size then
-        raise (V.Conformance_error "output exceeds its reserved slot");
-      Vm.poke ~by:server region ~off:s.Layout.offset encoded)
-    out_slots outputs
+         (List.length outputs) expected);
+  store_slots ~server ~region ~proc slots outputs
 
 (* Copy F: the client stub copies returned values from the A-stack to
-   their final destination. *)
-let read_outputs rt ?audit ~client ~region ~proc plan =
-  let e = engine rt in
-  List.map
-    (fun (s : Layout.slot) ->
-      let v, consumed =
-        V.decode (slot_type s ~proc) (Vm.data region) ~off:s.Layout.offset
-      in
-      ignore
-        (Vm.read_bytes ~engine:e ?audit ~label:"F" ~by:client region
-           ~off:s.Layout.offset ~len:consumed);
-      v)
-    (Layout.output_slots plan)
+   their final destination, in slot order. *)
+let rec read_outputs e ?audit ~client ~region ~proc = function
+  | [] -> []
+  | (s : Layout.slot) :: rest ->
+      if Layout.is_output s then begin
+        let v, consumed =
+          V.decode (slot_type s ~proc) (Vm.data region) ~off:s.Layout.offset
+        in
+        ignore
+          (Vm.read_bytes ~engine:e ?audit ~label:"F" ~by:client region
+             ~off:s.Layout.offset ~len:consumed);
+        v :: read_outputs e ?audit ~client ~region ~proc rest
+      end
+      else read_outputs e ?audit ~client ~region ~proc rest
+
+let rec slot_bytes pick acc = function
+  | [] -> acc
+  | (s : Layout.slot) :: rest ->
+      slot_bytes pick (if pick s then acc + s.Layout.size else acc) rest
 
 (* ---- landing ----------------------------------------------------------- *)
 
@@ -162,6 +189,212 @@ let land_ rt h outcome =
 
 (* ---- the completion half ------------------------------------------------ *)
 
+(* The pieces of the completion half are top-level functions that take
+   their operands as arguments: a call builds no closures on its way
+   through the kernel. *)
+
+(* Send home the call's out-of-band segment (if any) and its A-stack;
+   the A-stack part is idempotent. *)
+let release_all rt lc ~client =
+  if lc.lc_oob then Kernel.release_region rt.kernel ~owner:client lc.lc_region;
+  if not lc.lc_released then begin
+    lc.lc_released <- true;
+    Astack.checkin rt lc.lc_pb lc.lc_astack
+  end
+
+(* Argument bytes consumed on a processor other than the one that wrote
+   them drag cache lines across the bus; charged where the consumption
+   happens. This is why domain caching helps large arguments less
+   (Table 4's shrinking MP column). *)
+let coherency rt e bytes =
+  if bytes > 0 then
+    Engine.delay ~category:Category.Copy e
+      (Lrpc_sim.Time.scale
+         (cost_model rt).Lrpc_sim.Cost_model.coherency_per_byte
+         (float_of_int bytes))
+
+(* Put the books right after an asynchronous failure (kill, unwind,
+   crash landing at any delay point of the completion half): if the
+   call's linkage claim is still on [th]'s linkstack, undo it, then
+   reclaim the A-stack and any out-of-band segment. Idempotent, and a
+   no-op for claims already released by the normal return path. *)
+let crash_cleanup rt lc ~client th ls =
+  let linkage = lc.lc_astack.a_linkage in
+  if linkstack_remove ls linkage then begin
+    Kernel.linkage_released rt.kernel th;
+    linkage.l_in_use <- false;
+    linkage.l_abandoned <- false;
+    linkage.l_caller <- None;
+    linkage.l_return_domain <- None
+  end;
+  release_all rt lc ~client
+
+(* The kernel's call-side section: validation, the linkage claim and the
+   transfer into the server. *)
+let call_side rt h lc th ls =
+  let e = engine rt in
+  let b = h.ch_binding in
+  let client = b.b_client and server = b.b_server in
+  let astack = lc.lc_astack in
+  Engine.delay ~category:Category.Kernel_transfer e
+    (cost_model rt).Lrpc_sim.Cost_model.kernel_call;
+  (match
+     (* The caller's identity is the domain the trapping thread actually
+        runs in, not whatever the Binding Object claims — a carrier
+        dispatched at issue time lives in the client domain, so it
+        passes the same check the issuer would. *)
+     let caller =
+       match Kernel.find_domain rt.kernel (Engine.thread_domain th) with
+       | Some d -> d
+       | None -> raise (Bad_binding "caller has no domain")
+     in
+     ignore (Binding.verify rt b ~caller ~proc:h.ch_proc);
+     Astack.validate rt lc.lc_pb astack
+   with
+  | () -> ()
+  | exception exn ->
+      release_all rt lc ~client;
+      raise exn);
+  let linkage = astack.a_linkage in
+  linkage.l_in_use <- true;
+  linkage.l_valid <- true;
+  linkage.l_abandoned <- false;
+  linkage.l_caller <- Engine.self_opt e;
+  linkage.l_return_domain <- linkage.l_client;
+  linkstack_push ls linkage;
+  Kernel.linkage_claimed rt.kernel th;
+  let estack = Estack.associate rt ~server astack in
+  (* Domain transfer: the executing thread crosses into the server. *)
+  transfer_to rt ~target:server;
+  Footprint.call_side rt b astack estack ~data_region:lc.lc_region
+
+(* How the linkage stood when the return path released it. *)
+type verdict = Valid | Invalidated | Abandoned
+
+(* The kernel's return-side section: it needs only the linkage record —
+   no re-validation. *)
+let return_side rt h lc th ls ~server_cpu =
+  let e = engine rt in
+  let b = h.ch_binding in
+  let client = b.b_client in
+  let linkage = lc.lc_astack.a_linkage in
+  Engine.delay ~category:Category.Kernel_transfer e
+    (cost_model rt).Lrpc_sim.Cost_model.kernel_return;
+  ignore (linkstack_remove ls linkage : bool);
+  Kernel.linkage_released rt.kernel th;
+  let verdict =
+    if linkage.l_abandoned then Abandoned
+    else if linkage.l_valid then Valid
+    else Invalidated
+  in
+  linkage.l_in_use <- false;
+  linkage.l_caller <- None;
+  linkage.l_return_domain <- None;
+  if verdict <> Abandoned && Pdomain.active client then begin
+    (* Cross back into the domain of the first valid linkage — the
+       client, unless it terminated while we were away. *)
+    transfer_to rt ~target:client;
+    Footprint.return_side rt b;
+    if (Engine.current_cpu e).Engine.idx <> server_cpu then
+      coherency rt e lc.lc_bytes_out
+  end;
+  verdict
+
+(* The server stub: run the procedure and store its outputs. Failures
+   other than a kill become the call's outcome. *)
+let serve rt h lc th =
+  let b = h.ch_binding in
+  let pb = lc.lc_pb in
+  let ctx =
+    {
+      sc_rt = rt;
+      sc_binding = b;
+      sc_proc = pb.pb_spec;
+      sc_plan = lc.lc_plan;
+      sc_region = lc.lc_region;
+      sc_thread = th;
+    }
+  in
+  try
+    (match rt.faults with
+    | Some f -> (
+        match f.f_server_exn ~proc:h.ch_proc with
+        | Some exn -> raise exn
+        | None -> ())
+    | None -> ());
+    let outputs = pb.pb_impl ctx in
+    store_outputs ~server:b.b_server ~region:lc.lc_region ~proc:pb.pb_spec
+      lc.lc_plan outputs;
+    Ok ()
+  with
+  | Engine.Thread_killed as exn -> raise exn
+  | Unwind_termination -> Error (Call_failed "server domain terminated")
+  | exn -> Error exn
+
+let run_local rt h lc th ls =
+  let e = engine rt in
+  let cm = cost_model rt in
+  let b = h.ch_binding in
+  let client = b.b_client in
+  (* Trap to the kernel; validation and linkage work. *)
+  Kernel.trap rt.kernel;
+  enter_kernel rt;
+  (match call_side rt h lc th ls with
+  | () -> leave_kernel rt
+  | exception exn ->
+      leave_kernel rt;
+      raise exn);
+  (* The deadline fired while we were on our way in: the handle has
+     already landed, so serve out the call as an abandoned capture — the
+     kernel destroys this thread on return and the A-stack comes home
+     then (§5.3). *)
+  (match h.ch_abort with
+  | Some _ ->
+      let linkage = lc.lc_astack.a_linkage in
+      linkage.l_abandoned <- true;
+      linkage.l_valid <- false
+  | None -> ());
+  let server_cpu = (Engine.current_cpu e).Engine.idx in
+  if server_cpu <> lc.lc_marshal_cpu then coherency rt e lc.lc_bytes_in;
+  (* Upcall into the server's entry stub. *)
+  Engine.delay ~category:Category.Stub_server e
+    cm.Lrpc_sim.Cost_model.server_stub_call;
+  lc.lc_t_transfer <- Engine.now e;
+  if b.b_export.ex_defensive then
+    defensive_copies e ?audit:lc.lc_audit ~server:b.b_server
+      ~region:lc.lc_region lc.lc_plan.Layout.slots;
+  let outcome = serve rt h lc th in
+  (* Return transfer: the server stub traps. *)
+  Engine.delay ~category:Category.Stub_server e
+    cm.Lrpc_sim.Cost_model.server_stub_return;
+  lc.lc_t_server <- Engine.now e;
+  Kernel.trap rt.kernel;
+  enter_kernel rt;
+  let verdict =
+    match return_side rt h lc th ls ~server_cpu with
+    | v ->
+        leave_kernel rt;
+        v
+    | exception exn ->
+        leave_kernel rt;
+        raise exn
+  in
+  if verdict = Abandoned then begin
+    (* §5.3: the client released this captured call (or its deadline
+       fired); the thread is destroyed in the kernel upon release, and
+       the A-stack it was still holding goes home now. *)
+    release_all rt lc ~client;
+    raise Engine.Thread_killed
+  end;
+  if not (Pdomain.active client) then begin
+    release_all rt lc ~client;
+    raise Engine.Thread_killed
+  end;
+  match outcome with
+  | Ok () when verdict = Invalidated ->
+      Error (Call_failed "linkage invalidated")
+  | o -> o
+
 (* Everything from the kernel trap to the return transfer, executed on
    the thread that actually crosses into the server: the issuing thread
    itself for synchronous calls (so Tables 4/5 are reproduced by the
@@ -170,219 +403,55 @@ let land_ rt h outcome =
    §5.3 abandoned-call paths); any other failure is returned as the
    call's outcome. *)
 let complete_local rt h lc =
-  let e = engine rt in
-  let cm = cost_model rt in
-  let th = Engine.self e in
+  let th = Engine.self (engine rt) in
+  let ls = linkstack_of rt th in
   let b = h.ch_binding in
-  let client = b.b_client and server = b.b_server in
-  let audit = lc.lc_audit in
-  let pb = lc.lc_pb in
-  let astack = lc.lc_astack in
-  let plan = lc.lc_plan in
-  let data_region = lc.lc_region in
-  let release_oob () =
-    if lc.lc_oob then Kernel.release_region rt.kernel ~owner:client data_region
-  in
-  let release_all () =
-    release_oob ();
-    if not lc.lc_released then begin
-      lc.lc_released <- true;
-      Astack.checkin rt pb astack
-    end
-  in
-  (* Argument bytes consumed on a processor other than the one that
-     wrote them drag cache lines across the bus; charged where the
-     consumption happens. This is why domain caching helps large
-     arguments less (Table 4's shrinking MP column). *)
-  let coherency bytes =
-    if bytes > 0 then
-      Engine.delay ~category:Category.Copy e
-        (Lrpc_sim.Time.scale cm.Lrpc_sim.Cost_model.coherency_per_byte
-           (float_of_int bytes))
-  in
-  let linkage = astack.a_linkage in
-  let lstack = linkstack_of rt th in
-  (* Put the books right after an asynchronous failure (kill, unwind,
-     crash landing at any delay point of the completion half): if our
-     linkage claim is still on this thread's linkstack, undo it, then
-     reclaim the A-stack and any out-of-band segment. Idempotent, and a
-     no-op for claims already released by the normal return path. *)
-  let crash_cleanup () =
-    if List.exists (fun l -> l == linkage) !lstack then begin
-      lstack := List.filter (fun l -> not (l == linkage)) !lstack;
-      Kernel.linkage_released rt.kernel th;
-      linkage.l_in_use <- false;
-      linkage.l_abandoned <- false;
-      linkage.l_caller <- None;
-      linkage.l_return_domain <- None
-    end;
-    release_all ()
-  in
-  let run () =
-    (* Trap to the kernel; validation and linkage work. *)
-    Kernel.trap rt.kernel;
-    klocked rt (fun () ->
-        Engine.delay ~category:Category.Kernel_transfer e
-          cm.Lrpc_sim.Cost_model.kernel_call;
-        (try
-           (* The caller's identity is the domain the trapping thread
-              actually runs in, not whatever the Binding Object claims —
-              a carrier dispatched at issue time lives in the client
-              domain, so it passes the same check the issuer would. *)
-           let caller =
-             match Kernel.find_domain rt.kernel (Engine.thread_domain th) with
-             | Some d -> d
-             | None -> raise (Bad_binding "caller has no domain")
-           in
-           ignore (Binding.verify rt b ~caller ~proc:h.ch_proc);
-           Astack.validate rt pb astack
-         with exn ->
-           release_all ();
-           raise exn);
-        linkage.l_in_use <- true;
-        linkage.l_valid <- true;
-        linkage.l_abandoned <- false;
-        linkage.l_caller <- Some th;
-        linkage.l_return_domain <- Some client;
-        lstack := linkage :: !lstack;
-        Kernel.linkage_claimed rt.kernel th;
-        let estack = Estack.associate rt ~server astack in
-        (* Domain transfer: the executing thread crosses into the
-           server. *)
-        transfer_to rt ~target:server;
-        Footprint.call_side rt b astack estack ~data_region);
-    (* The deadline fired while we were on our way in: the handle has
-       already landed, so serve out the call as an abandoned capture —
-       the kernel destroys this thread on return and the A-stack comes
-       home then (§5.3). *)
-    (match h.ch_abort with
-    | Some _ ->
-        linkage.l_abandoned <- true;
-        linkage.l_valid <- false
-    | None -> ());
-    let server_cpu = (Engine.current_cpu e).Engine.idx in
-    if server_cpu <> lc.lc_marshal_cpu then coherency lc.lc_bytes_in;
-    (* Upcall into the server's entry stub. *)
-    Engine.delay ~category:Category.Stub_server e
-      cm.Lrpc_sim.Cost_model.server_stub_call;
-    lc.lc_t_transfer <- Engine.now e;
-    if b.b_export.ex_defensive then
-      defensive_copies rt ?audit ~server ~region:data_region plan;
-    let ctx =
-      {
-        sc_rt = rt;
-        sc_binding = b;
-        sc_proc = pb.pb_spec;
-        sc_plan = plan;
-        sc_region = data_region;
-        sc_thread = th;
-      }
-    in
-    let outcome =
-      try
-        (match rt.faults with
-        | Some f -> (
-            match f.f_server_exn ~proc:h.ch_proc with
-            | Some exn -> raise exn
-            | None -> ())
-        | None -> ());
-        let outputs = pb.pb_impl ctx in
-        store_outputs ~server ~region:data_region ~proc:pb.pb_spec plan outputs;
-        Ok ()
-      with
-      | Engine.Thread_killed as exn -> raise exn
-      | Unwind_termination -> Error (Call_failed "server domain terminated")
-      | exn -> Error exn
-    in
-    (* Return transfer: server stub traps; the kernel needs only the
-       linkage record — no re-validation. *)
-    Engine.delay ~category:Category.Stub_server e
-      cm.Lrpc_sim.Cost_model.server_stub_return;
-    lc.lc_t_server <- Engine.now e;
-    Kernel.trap rt.kernel;
-    let was_valid, was_abandoned =
-      klocked rt (fun () ->
-          Engine.delay ~category:Category.Kernel_transfer e
-            cm.Lrpc_sim.Cost_model.kernel_return;
-          (match !lstack with
-          | l :: rest when l == linkage -> lstack := rest
-          | ls ->
-              (* Completion halves run start-to-finish on their executing
-                 thread, so the LIFO head case is the rule (nested calls
-                 from a server procedure still nest); removal by physical
-                 identity keeps the books right regardless. *)
-              lstack := List.filter (fun l -> not (l == linkage)) ls);
-          Kernel.linkage_released rt.kernel th;
-          let was_valid = linkage.l_valid in
-          let was_abandoned = linkage.l_abandoned in
-          linkage.l_in_use <- false;
-          linkage.l_caller <- None;
-          linkage.l_return_domain <- None;
-          if not was_abandoned && Pdomain.active client then begin
-            (* Cross back into the domain of the first valid linkage —
-               the client, unless it terminated while we were away. *)
-            transfer_to rt ~target:client;
-            Footprint.return_side rt b;
-            if (Engine.current_cpu e).Engine.idx <> server_cpu then
-              coherency lc.lc_bytes_out
-          end;
-          (was_valid, was_abandoned))
-    in
-    if was_abandoned then begin
-      (* §5.3: the client released this captured call (or its deadline
-         fired); the thread is destroyed in the kernel upon release, and
-         the A-stack it was still holding goes home now. *)
-      release_all ();
-      raise Engine.Thread_killed
-    end;
-    if not (Pdomain.active client) then begin
-      release_all ();
-      raise Engine.Thread_killed
-    end;
-    match outcome with
-    | Ok () when not was_valid -> Error (Call_failed "linkage invalidated")
-    | o -> o
-  in
-  try run () with
-  | Unwind_termination ->
+  let client = b.b_client in
+  match run_local rt h lc th ls with
+  | outcome -> outcome
+  | exception Unwind_termination ->
       (* The server domain terminated under us outside the procedure
          body (the in-body case surfaces through the normal return
          path). Unwind the linkage claim, reclaim the A-stack, and come
          home so the restarted caller continues in its own domain. *)
-      crash_cleanup ();
+      crash_cleanup rt lc ~client th ls;
       if Pdomain.active client then begin
         transfer_to rt ~target:client;
         Footprint.return_side rt b
       end;
       Error (Call_failed "server domain terminated")
-  | exn ->
+  | exception exn ->
       (* Thread_killed and everything else: reclaim, then let
          run_completion land or re-raise it. *)
-      crash_cleanup ();
+      crash_cleanup rt lc ~client th ls;
       raise exn
 
+(* A remote call's window slot goes home, waking the longest-blocked
+   issuer. Idempotent. *)
+let release_slot r rc =
+  if rc.rc_slot_held then begin
+    rc.rc_slot_held <- false;
+    r.r_in_flight <- r.r_in_flight - 1;
+    ignore (Waitq.signal r.r_wait)
+  end
+
 (* §5.1: the conventional network path, behind the remote bit. The
-   window slot claimed at issue is returned when the reply lands, waking
-   the longest-blocked issuer. *)
+   window slot claimed at issue is returned when the reply lands. *)
 let complete_remote _rt h rc =
-  let b = h.ch_binding in
   let r =
-    match b.b_remote with Some r -> r | None -> assert false
+    match h.ch_binding.b_remote with Some r -> r | None -> assert false
   in
-  let release_slot () =
-    if rc.rc_slot_held then begin
-      rc.rc_slot_held <- false;
-      r.r_in_flight <- r.r_in_flight - 1;
-      ignore (Waitq.signal r.r_wait)
-    end
-  in
-  Fun.protect ~finally:release_slot (fun () ->
-      try
-        rc.rc_results <- r.r_transport ~proc:h.ch_proc rc.rc_args;
-        Ok ()
-      with
-      | Engine.Thread_killed as exn -> raise exn
-      | exn -> Error exn)
+  match r.r_transport ~proc:h.ch_proc rc.rc_args with
+  | results ->
+      rc.rc_results <- results;
+      release_slot r rc;
+      Ok ()
+  | exception (Engine.Thread_killed as exn) ->
+      release_slot r rc;
+      raise exn
+  | exception exn ->
+      release_slot r rc;
+      Error exn
 
 let complete_body rt h =
   match h.ch_kind with
@@ -394,24 +463,11 @@ let complete_body rt h =
    — without running the completion half. Idempotent against the
    completion half's own release paths. *)
 let reclaim_issue rt h =
+  let b = h.ch_binding in
   match h.ch_kind with
-  | Ck_local lc ->
-      if not lc.lc_released then begin
-        if lc.lc_oob then
-          Kernel.release_region rt.kernel ~owner:h.ch_binding.b_client
-            lc.lc_region;
-        lc.lc_released <- true;
-        Astack.checkin rt lc.lc_pb lc.lc_astack
-      end
-  | Ck_remote rc ->
-      if rc.rc_slot_held then begin
-        let r =
-          match h.ch_binding.b_remote with Some r -> r | None -> assert false
-        in
-        rc.rc_slot_held <- false;
-        r.r_in_flight <- r.r_in_flight - 1;
-        ignore (Waitq.signal r.r_wait)
-      end
+  | Ck_local lc -> release_all rt lc ~client:b.b_client
+  | Ck_remote rc -> (
+      match b.b_remote with Some r -> release_slot r rc | None -> assert false)
 
 (* Run the completion half on the current thread and land the handle.
    Never lets an exception other than [Thread_killed] escape: failures
@@ -475,14 +531,6 @@ let readout rt h outcome =
   | Ck_local lc -> (
       let b = h.ch_binding in
       let client = b.b_client in
-      let release_all () =
-        if lc.lc_oob then
-          Kernel.release_region rt.kernel ~owner:client lc.lc_region;
-        if not lc.lc_released then begin
-          lc.lc_released <- true;
-          Astack.checkin rt lc.lc_pb lc.lc_astack
-        end
-      in
       match outcome with
       | Ok () ->
           (* Client stub, return side: copy F off the A-stack, then the
@@ -490,10 +538,10 @@ let readout rt h outcome =
           Engine.delay ~category:Category.Stub_client e
             cm.Lrpc_sim.Cost_model.client_stub_return;
           let outputs =
-            read_outputs rt ?audit:lc.lc_audit ~client ~region:lc.lc_region
-              ~proc:lc.lc_pb.pb_spec lc.lc_plan
+            read_outputs e ?audit:lc.lc_audit ~client ~region:lc.lc_region
+              ~proc:lc.lc_pb.pb_spec lc.lc_plan.Layout.slots
           in
-          release_all ();
+          release_all rt lc ~client;
           Metrics.Counter.incr rt.c_calls_completed;
           let st = b.b_stats in
           let t0 = h.ch_issued_at in
@@ -520,7 +568,7 @@ let readout rt h outcome =
           if (not lc.lc_released) && not lc.lc_detached then begin
             Engine.delay ~category:Category.Stub_client e
               cm.Lrpc_sim.Cost_model.client_stub_return;
-            release_all ()
+            release_all rt lc ~client
           end;
           raise exn)
 
@@ -563,15 +611,16 @@ let issue_local ?audit ?admit rt b ~proc args =
     else astack.a_region
   in
   let t_bind = Engine.now e in
-  (try marshal_inputs rt ?audit ~client:caller ~region:data_region plan
-   with exn ->
-     if oob then Kernel.release_region rt.kernel ~owner:client data_region;
-     Astack.checkin rt pb astack;
-     raise exn);
+  (match
+     marshal_inputs e ?audit ~client:caller ~region:data_region
+       plan.Layout.slots
+   with
+  | () -> ()
+  | exception exn ->
+      if oob then Kernel.release_region rt.kernel ~owner:client data_region;
+      Astack.checkin rt pb astack;
+      raise exn);
   let t_marshal = Engine.now e in
-  let slot_bytes slots =
-    List.fold_left (fun acc (s : Layout.slot) -> acc + s.Layout.size) 0 slots
-  in
   Ck_local
     {
       lc_caller = caller;
@@ -582,8 +631,8 @@ let issue_local ?audit ?admit rt b ~proc args =
       lc_oob = oob;
       lc_audit = audit;
       lc_marshal_cpu = (Engine.current_cpu e).Engine.idx;
-      lc_bytes_in = slot_bytes (Layout.input_slots plan);
-      lc_bytes_out = slot_bytes (Layout.output_slots plan);
+      lc_bytes_in = slot_bytes Layout.is_input 0 plan.Layout.slots;
+      lc_bytes_out = slot_bytes Layout.is_output 0 plan.Layout.slots;
       lc_released = false;
       lc_detached = false;
       lc_t_bind = t_bind;
@@ -755,12 +804,14 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
         Kernel.spawn rt.kernel b.b_client
           ~name:("carrier-" ^ proc ^ "#" ^ string_of_int h.ch_id)
           (fun () ->
-            (* The carrier lives for this one call: its linkstack entry
-               goes with it, or every async call would stay reachable. *)
+            (* The carrier lives for this one call: its linkstack goes
+               with it rather than waiting for a sweep. *)
             let self = Engine.self e in
-            Fun.protect
-              ~finally:(fun () -> drop_linkstack rt self)
-              (fun () -> run_completion rt h))
+            match run_completion rt h with
+            | () -> drop_linkstack rt self
+            | exception exn ->
+                drop_linkstack rt self;
+                raise exn)
       in
       h.ch_carrier <- Some carrier);
   (match deadline with

@@ -218,6 +218,19 @@ type linkage = {
           it finally returns *)
   mutable l_caller : Engine.thread option;
   mutable l_return_domain : Pdomain.t option;
+  l_client : Pdomain.t option;
+      (** [Some] client domain of the binding this A-stack serves, built
+          once at allocation: what a claim records as its return domain,
+          so claiming boxes nothing *)
+}
+
+(* A thread's outstanding linkage records, most recent on top: a
+   growable array, so the LIFO push and pop of a call allocate nothing
+   once the thread has reached its deepest nesting. *)
+type linkstack = {
+  ls_thread : Engine.thread;
+  mutable ls_items : linkage array;
+  mutable ls_len : int;
 }
 
 type estack = {
@@ -439,7 +452,10 @@ and runtime = {
   global_kernel_lock : Spinlock.t option;
   mutable exports : (string * export) list;
   bindings : (int, binding) Hashtbl.t;  (** issued Binding Objects *)
-  linkstacks : (int, linkage list ref) Hashtbl.t;  (** per-thread (tid) *)
+  linkstacks : (int, linkstack) Hashtbl.t;
+      (** per-thread (tid), kept while the thread lives; empty stacks of
+          finished threads are swept whenever the table has doubled *)
+  mutable linkstacks_sweep_at : int;
   estack_pools : (Pdomain.id, estack_pool) Hashtbl.t;
   domain_pages : (Pdomain.id, domain_pages) Hashtbl.t;
   pending_exports : (string, Waitq.t) Hashtbl.t;
@@ -492,6 +508,8 @@ and runtime = {
 let engine rt = Kernel.engine rt.kernel
 let cost_model rt = Kernel.cost_model rt.kernel
 
+let linkstacks_sweep_floor = 64
+
 let create ?(config = default_config) kernel =
   (* The kernel's own code and data working set: twelve pages touched on
      the call path, of which the first ten are touched again on the
@@ -516,6 +534,7 @@ let create ?(config = default_config) kernel =
     exports = [];
     bindings = Hashtbl.create 32;
     linkstacks = Hashtbl.create 64;
+    linkstacks_sweep_at = linkstacks_sweep_floor;
     estack_pools = Hashtbl.create 16;
     domain_pages = Hashtbl.create 16;
     pending_exports = Hashtbl.create 8;
@@ -597,16 +616,59 @@ let pages_of_domain rt d =
       Hashtbl.replace rt.domain_pages d.Pdomain.id dp;
       dp
 
+let sweep_linkstacks rt =
+  Hashtbl.filter_map_inplace
+    (fun _ ls ->
+      if ls.ls_len = 0 && not (Engine.alive ls.ls_thread) then None
+      else Some ls)
+    rt.linkstacks;
+  rt.linkstacks_sweep_at <-
+    max linkstacks_sweep_floor (2 * Hashtbl.length rt.linkstacks)
+
 let linkstack_of rt th =
   let tid = Engine.thread_id th in
-  match Hashtbl.find_opt rt.linkstacks tid with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.replace rt.linkstacks tid r;
-      r
+  match Hashtbl.find rt.linkstacks tid with
+  | ls -> ls
+  | exception Not_found ->
+      if Hashtbl.length rt.linkstacks >= rt.linkstacks_sweep_at then
+        sweep_linkstacks rt;
+      let ls = { ls_thread = th; ls_items = [||]; ls_len = 0 } in
+      Hashtbl.replace rt.linkstacks tid ls;
+      ls
 
 let drop_linkstack rt th = Hashtbl.remove rt.linkstacks (Engine.thread_id th)
+
+(* The most recent outstanding linkage of [th], without creating a
+   linkstack for a thread that never called. *)
+let linkstack_top rt th =
+  match Hashtbl.find rt.linkstacks (Engine.thread_id th) with
+  | ls when ls.ls_len > 0 -> Some ls.ls_items.(ls.ls_len - 1)
+  | _ | (exception Not_found) -> None
+
+let linkstack_push ls l =
+  let n = ls.ls_len in
+  if n = Array.length ls.ls_items then begin
+    let items = Array.make (max 4 (2 * n)) l in
+    Array.blit ls.ls_items 0 items 0 n;
+    ls.ls_items <- items
+  end;
+  ls.ls_items.(n) <- l;
+  ls.ls_len <- n + 1
+
+(* Remove [l] by physical identity; [false] when it is not there.
+   Completion halves run start-to-finish on their executing thread, so
+   [l] on top is the rule (nested calls from a server procedure still
+   nest); the search below it keeps the books right regardless. *)
+let linkstack_remove ls l =
+  let items = ls.ls_items in
+  let rec find i = if i < 0 || items.(i) == l then i else find (i - 1) in
+  let i = find (ls.ls_len - 1) in
+  if i < 0 then false
+  else begin
+    Array.blit items (i + 1) items i (ls.ls_len - 1 - i);
+    ls.ls_len <- ls.ls_len - 1;
+    true
+  end
 
 let estack_pool rt d =
   match Hashtbl.find_opt rt.estack_pools d.Pdomain.id with
@@ -620,11 +682,11 @@ let estack_pool rt d =
 
 let note_call_issued rt =
   rt.in_flight <- rt.in_flight + 1;
-  Metrics.Gauge.set rt.g_in_flight (float_of_int rt.in_flight)
+  Metrics.Gauge.set_int rt.g_in_flight rt.in_flight
 
 let note_call_landed rt =
   rt.in_flight <- rt.in_flight - 1;
-  Metrics.Gauge.set rt.g_in_flight (float_of_int rt.in_flight)
+  Metrics.Gauge.set_int rt.g_in_flight rt.in_flight
 
 (* --- Taos-style alerts (paper §5.3) ------------------------------------- *)
 

@@ -31,7 +31,7 @@ let collect rt d =
             if
               Engine.alive th
               && Engine.thread_domain th = d.Pdomain.id
-              && !(linkstack_of rt th) <> []
+              && Option.is_some (linkstack_top rt th)
             then Engine.interrupt e th Unwind_termination)
           other.Pdomain.threads)
     (Kernel.domains rt.kernel)
@@ -44,9 +44,9 @@ let install rt =
       : Kernel.hook_handle)
 
 let release_captured rt ~captured ~replacement =
-  match !(linkstack_of rt captured) with
-  | [] -> invalid_arg "Termination.release_captured: no outstanding call"
-  | linkage :: _ ->
+  match linkstack_top rt captured with
+  | None -> invalid_arg "Termination.release_captured: no outstanding call"
+  | Some linkage ->
       let client =
         match linkage.l_return_domain with
         | Some c -> c

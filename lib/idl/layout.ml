@@ -73,26 +73,25 @@ let plan t ~args =
 
 let fits t plan = plan.total_bytes <= t.astack_size
 
-let input_slots plan = List.filter (fun s -> s.svalue <> None) plan.slots
+let is_input s = match s.svalue with Some _ -> true | None -> false
 
-let output_slots plan =
-  List.filter
-    (fun s ->
-      match s.sparam with
-      | None -> true (* result *)
-      | Some p -> (
-          match p.Types.mode with
-          | Types.Out | Types.In_out -> true
-          | Types.In -> false))
-    plan.slots
+let is_output s =
+  match s.sparam with
+  | None -> true (* result *)
+  | Some p -> (
+      match p.Types.mode with
+      | Types.Out | Types.In_out -> true
+      | Types.In -> false)
 
-let immutable_copy_slots plan =
-  List.filter
-    (fun s ->
-      match (s.sparam, s.svalue) with
-      | Some p, Some _ -> not p.Types.uninterpreted
-      | _ -> false)
-    plan.slots
+let input_slots plan = List.filter is_input plan.slots
+let output_slots plan = List.filter is_output plan.slots
+
+let is_immutable_copy s =
+  match (s.sparam, s.svalue) with
+  | Some p, Some _ -> not p.Types.uninterpreted
+  | _ -> false
+
+let immutable_copy_slots plan = List.filter is_immutable_copy plan.slots
 
 let arg_values_bytes _proc ~args ~results =
   List.fold_left (fun acc v -> acc + Value.payload_bytes v) 0 args

@@ -50,6 +50,13 @@ val output_slots : plan -> slot list
 (** Slots the client must read back on return ([Out]/[In_out] parameters
     and the result — copy F). *)
 
+val is_input : slot -> bool
+val is_output : slot -> bool
+val is_immutable_copy : slot -> bool
+(** The membership tests of {!input_slots}, {!output_slots} and
+    {!immutable_copy_slots}, for walking [plan.slots] without building
+    the filtered lists. *)
+
 val immutable_copy_slots : plan -> slot list
 (** Input slots whose parameter the server interprets (not flagged
     [uninterpreted]): when immutability matters these are the ones the

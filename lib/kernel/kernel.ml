@@ -31,6 +31,12 @@ type hook = {
   hk_fn : Pdomain.t -> unit;
 }
 
+(* A thread's outstanding linkage records. The cell stays in the table
+   while the thread lives, so its steady-state claim/release pair only
+   bumps an int; cells of finished threads with nothing outstanding are
+   swept whenever the table has doubled since the last sweep. *)
+type linkage_count = { lc_thread : Engine.thread; mutable lc_n : int }
+
 type t = {
   engine : Engine.t;
   kernel_domain : Pdomain.t;
@@ -64,8 +70,9 @@ type t = {
   mutable ap_last_hits : int;
   mutable hooks : hook list; (* reversed *)
   mutable next_hook : int;
-  linkages : (int, int) Hashtbl.t; (* tid -> outstanding linkage records *)
+  linkages : (int, linkage_count) Hashtbl.t; (* tid -> its count *)
   mutable linkages_total : int; (* sum over [linkages], kept per call *)
+  mutable linkages_sweep_at : int; (* table size that triggers a sweep *)
   g_linkages : Metrics.gauge;
 }
 
@@ -75,6 +82,8 @@ type t = {
 let default_half_life_us = 1000.0
 let default_prod_margin = 0.5
 let default_idle_retag_factor = 2.0
+
+let linkages_sweep_floor = 64
 
 let boot engine =
   let kernel_domain =
@@ -113,6 +122,7 @@ let boot engine =
     next_hook = 1;
     linkages = Hashtbl.create 64;
     linkages_total = 0;
+    linkages_sweep_at = linkages_sweep_floor;
     g_linkages = Metrics.gauge (Engine.metrics engine) "kernel.linkages_outstanding";
   }
 
@@ -198,26 +208,42 @@ let trap t =
 
 let total_linkages t = t.linkages_total
 
-let linkage_claimed t th =
+let sweep_linkages t =
+  Hashtbl.filter_map_inplace
+    (fun _ c ->
+      if c.lc_n = 0 && not (Engine.alive c.lc_thread) then None else Some c)
+    t.linkages;
+  t.linkages_sweep_at <-
+    max linkages_sweep_floor (2 * Hashtbl.length t.linkages)
+
+let linkage_count t th =
   let tid = Engine.thread_id th in
-  let n = match Hashtbl.find_opt t.linkages tid with Some n -> n | None -> 0 in
-  Hashtbl.replace t.linkages tid (n + 1);
+  match Hashtbl.find t.linkages tid with
+  | c -> c
+  | exception Not_found ->
+      if Hashtbl.length t.linkages >= t.linkages_sweep_at then sweep_linkages t;
+      let c = { lc_thread = th; lc_n = 0 } in
+      Hashtbl.replace t.linkages tid c;
+      c
+
+let linkage_claimed t th =
+  let c = linkage_count t th in
+  c.lc_n <- c.lc_n + 1;
   t.linkages_total <- t.linkages_total + 1;
-  Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
+  Metrics.Gauge.set_int t.g_linkages t.linkages_total
 
 let linkage_released t th =
-  let tid = Engine.thread_id th in
-  (match Hashtbl.find_opt t.linkages tid with
-  | Some 1 -> Hashtbl.remove t.linkages tid
-  | Some n when n > 1 -> Hashtbl.replace t.linkages tid (n - 1)
-  | Some _ | None -> invalid_arg "Kernel.linkage_released: none outstanding");
+  (match Hashtbl.find t.linkages (Engine.thread_id th) with
+  | c when c.lc_n > 0 -> c.lc_n <- c.lc_n - 1
+  | _ | (exception Not_found) ->
+      invalid_arg "Kernel.linkage_released: none outstanding");
   t.linkages_total <- t.linkages_total - 1;
-  Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
+  Metrics.Gauge.set_int t.g_linkages t.linkages_total
 
 let outstanding_linkages t th =
-  match Hashtbl.find_opt t.linkages (Engine.thread_id th) with
-  | Some n -> n
-  | None -> 0
+  match Hashtbl.find t.linkages (Engine.thread_id th) with
+  | c -> c.lc_n
+  | exception Not_found -> 0
 
 (* --- idle-processor management ------------------------------------------ *)
 

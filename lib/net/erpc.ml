@@ -131,7 +131,7 @@ let import_remote ?(params = default_params) ?(window = 8)
   let take_credit () =
     incr inflight;
     if float_of_int !inflight > Metrics.Gauge.value inflight_max then
-      Metrics.Gauge.set inflight_max (float_of_int !inflight)
+      Metrics.Gauge.set_int inflight_max !inflight
   in
   let return_credit () =
     decr inflight;

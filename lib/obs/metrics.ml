@@ -7,7 +7,9 @@ module H = Lrpc_util.Histogram
    serial (merged) execution, documented in the mli. *)
 type counter = { c_key : string; c_cell : int Atomic.t }
 
-type gauge = { g_key : string; mutable g_value : float }
+(* The value lives unboxed in a one-cell float array: a mutable [float]
+   field of a mixed record would box every [set]. *)
+type gauge = { g_key : string; g_cell : Float.Array.t }
 
 type histogram = { h_key : string; h_hist : H.t }
 
@@ -49,7 +51,7 @@ let gauge ?(labels = []) t name =
   | Some (Gauge g) -> g
   | Some _ -> kind_error k "wanted a gauge"
   | None ->
-      let g = { g_key = k; g_value = 0.0 } in
+      let g = { g_key = k; g_cell = Float.Array.make 1 0.0 } in
       Hashtbl.replace t.table k (Gauge g);
       g
 
@@ -72,8 +74,9 @@ module Counter = struct
 end
 
 module Gauge = struct
-  let set g v = g.g_value <- v
-  let value g = g.g_value
+  let[@inline] set g v = Float.Array.unsafe_set g.g_cell 0 v
+  let set_int g n = set g (float_of_int n)
+  let value g = Float.Array.unsafe_get g.g_cell 0
   let name g = g.g_key
 end
 
@@ -111,7 +114,7 @@ let snapshot t =
   Hashtbl.iter
     (fun k -> function
       | Counter c -> counters := (k, Atomic.get c.c_cell) :: !counters
-      | Gauge g -> gauges := (k, g.g_value) :: !gauges
+      | Gauge g -> gauges := (k, Gauge.value g) :: !gauges
       | Histogram h ->
           let s =
             {

@@ -49,6 +49,15 @@ end
     execution, never inside a parallel window. *)
 module Gauge : sig
   val set : gauge -> float -> unit
+  (** Stores the value unboxed: a set the compiler inlines allocates
+      nothing. A float computed by the caller is still boxed to cross a
+      call the compiler does not inline. *)
+
+  val set_int : gauge -> int -> unit
+  (** [set g (float_of_int n)], converting on this side of the call, so
+      it allocates nothing however it is compiled. For count gauges on
+      hot paths. *)
+
   val value : gauge -> float
   val name : gauge -> string
 end

@@ -8,8 +8,10 @@ exception Cross_partition_interaction of string
 
 type state = Embryo | Ready | Running | Blocked | Spinning | Done | Failed
 
-(* The continuation slot folds the old [cont option] into one variant so
-   parking a continuation costs a single [K] block, not [Some (K _)]. *)
+(* The continuation slot holds the continuation itself, unwrapped, so
+   parking one allocates nothing beyond the continuation the runtime
+   hands the handler. An empty slot holds [no_cont], a sentinel captured
+   once below. *)
 type thread = {
   tid : int;
   name : string;
@@ -18,7 +20,7 @@ type thread = {
   mutable cpu : int; (* index, -1 when not on a processor *)
   mutable last_cpu : int;
   home : int; (* preferred processor, -1 for any *)
-  mutable cont : cont;
+  mutable cont : (unit, unit) Effect.Deep.continuation;
   mutable body : (unit -> unit) option;
   mutable pending_exn : exn option;
   mutable spin_start : Time.t;
@@ -35,8 +37,6 @@ type thread = {
       (* operands of the thread's pending [Delay]/[Suspend]: the effects
          carry no payload, so performing one allocates nothing *)
 }
-
-and cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
 
 and timer = {
   t_fn : unit -> unit;
@@ -182,6 +182,31 @@ type t = {
 }
 
 type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t
+
+(* The empty-slot sentinel: the continuation of a fiber that performs
+   [Sentinel] once at module initialisation and is never resumed. It is
+   compared by physical identity only, never continued. *)
+type _ Effect.t += Sentinel : unit Effect.t
+
+let no_cont : (unit, unit) Effect.Deep.continuation =
+  let slot : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with
+    (fun () -> Effect.perform Sentinel)
+    ()
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Sentinel ->
+              Some
+                (fun (k : (unit, unit) Effect.Deep.continuation) ->
+                  slot := Some k)
+          | _ -> None);
+    };
+  match !slot with Some k -> k | None -> assert false
 
 (* --- domain-local partition context ------------------------------------
 
@@ -976,7 +1001,7 @@ let spawn ?(name = "thread") ?(home = -1) t ~domain body =
       cpu = -1;
       last_cpu = -1;
       home;
-      cont = No_cont;
+      cont = no_cont;
       body = Some body;
       pending_exn = None;
       spin_start = Time.zero;
@@ -1020,18 +1045,17 @@ let finish t th fail =
       end
       else t.failures_ <- (th, e) :: t.failures_
   | None -> ());
-  th.cont <- No_cont;
+  th.cont <- no_cont;
   th.body <- None;
   th.eff_fn <- ignore;
   free_cpu_of t th;
   try_dispatch t
 
 let take_cont th =
-  match th.cont with
-  | K k ->
-      th.cont <- No_cont;
-      k
-  | No_cont -> assert false
+  let k = th.cont in
+  assert (k != no_cont);
+  th.cont <- no_cont;
+  k
 
 let executing_count t =
   let cpus = t.cpus_ in
@@ -1078,13 +1102,13 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         let th = performer t in
-        handle_delay t th th.eff_cat th.eff_dur (K k))
+        handle_delay t th th.eff_cat th.eff_dur k)
   in
   let on_suspend =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         let th = performer t in
-        th.cont <- K k;
+        th.cont <- k;
         th.eff_fn th)
   in
   {

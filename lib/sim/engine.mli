@@ -159,7 +159,9 @@ val current_cpu : t -> cpu
 
 val self_opt : t -> thread option
 (** The currently executing thread, or [None] at engine level — the
-    non-raising {!self}, for API boundaries that want their own error. *)
+    non-raising {!self}, for API boundaries that want their own error.
+    The [Some] cell is the thread's own, preallocated at spawn: reading
+    it allocates nothing, and it may be stored as a holder field. *)
 
 val delay : ?category:Category.t -> t -> Time.t -> unit
 (** Consume simulated CPU time on the current processor, dilated by the

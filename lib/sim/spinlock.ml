@@ -50,12 +50,17 @@ let create ?(name = "lock") ?(overhead = Time.zero) ?(category = Category.Lock)
 
 let acquire t =
   ownership_check t;
-  let me = Engine.self t.engine in
+  (* [self_opt] is the thread's own preallocated [Some self]: taking a
+     free lock allocates nothing. *)
+  let held_by_me = Engine.self_opt t.engine in
+  let me =
+    match held_by_me with Some th -> th | None -> raise Engine.Not_in_thread
+  in
   Metrics.Counter.incr t.c_acquires;
   let traced = Engine.tracing t.engine in
   (match t.holder with
   | None ->
-      t.holder <- Some me;
+      t.holder <- held_by_me;
       if traced then Engine.emit t.engine (Event.Lock_acquire { lock = t.name })
   | Some _ ->
       Metrics.Counter.incr t.c_contended;
@@ -86,7 +91,13 @@ let release t =
 let with_lock t ~hold f =
   acquire t;
   if hold <> Time.zero then Engine.delay ~category:t.category t.engine hold;
-  Fun.protect ~finally:(fun () -> release t) f
+  match f () with
+  | v ->
+      release t;
+      v
+  | exception e ->
+      release t;
+      raise e
 
 let holder t = t.holder
 let contended_acquires t = Metrics.Counter.value t.c_contended

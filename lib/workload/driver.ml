@@ -435,48 +435,3 @@ let netrpc_latency ?(warmup = 5) ?(calls = 50) w ~proc ~args =
            /. float_of_int calls));
   run_all w.nw_engine;
   !out
-
-(* --- deprecated pre-Config constructors ---------------------------------- *)
-
-module Legacy = struct
-  let cfg ?(cost_model = Cost_model.cvax_firefly) ?(processors = 1)
-      ?engine_domains ?runtime ?(defensive = false) ?(domain_caching = false)
-      () =
-    {
-      Config.default with
-      Config.cost_model;
-      processors;
-      engine_domains;
-      runtime;
-      defensive_copies = defensive;
-      domain_caching;
-    }
-
-  let make_lrpc ?cost_model ?processors ?engine_domains ?config ?defensive
-      ?domain_caching () =
-    make_lrpc
-      ~config:
-        (cfg ?cost_model ?processors ?engine_domains ?runtime:config
-           ?defensive ?domain_caching ())
-      ()
-
-  let lrpc_scale ?cost_model ?domain_caching ?engine_domains ?home ~processors
-      ~clients ~horizon () =
-    lrpc_scale ?home
-      ~config:(cfg ?cost_model ~processors ?engine_domains ?domain_caching ())
-      ~clients ~horizon ()
-
-  let lrpc_throughput ?cost_model ?domain_caching ?engine_domains ~processors
-      ~clients ~horizon () =
-    (lrpc_scale ?cost_model ?domain_caching ?engine_domains ~processors
-       ~clients ~horizon ())
-      .ss_cps
-
-  let mpass_scale ?engine_domains profile ~processors ~clients ~horizon =
-    mpass_scale
-      ~config:(cfg ~processors ?engine_domains ())
-      profile ~clients ~horizon
-
-  let mpass_throughput ?engine_domains profile ~processors ~clients ~horizon =
-    (mpass_scale ?engine_domains profile ~processors ~clients ~horizon).ss_cps
-end

@@ -265,63 +265,3 @@ val netrpc_latency :
   args:Lrpc_idl.Value.t list -> float
 (** Steady-state per-call latency in simulated microseconds through the
     remote binding (dominated by the ~2.66 ms Firefly wire time). *)
-
-(** {1 Deprecated}
-
-    The pre-{!Config} constructors, kept for one release as thin
-    forwards so external callers migrate on their own schedule. New
-    code should build a {!Config.t}. *)
-
-module Legacy : sig
-  val make_lrpc :
-    ?cost_model:Lrpc_sim.Cost_model.t ->
-    ?processors:int ->
-    ?engine_domains:int ->
-    ?config:Lrpc_core.Rt.config ->
-    ?defensive:bool ->
-    ?domain_caching:bool ->
-    unit ->
-    lrpc_world
-  (** @deprecated Use {!Driver.make_lrpc} with a {!Config.t}. *)
-
-  val lrpc_scale :
-    ?cost_model:Lrpc_sim.Cost_model.t ->
-    ?domain_caching:bool ->
-    ?engine_domains:int ->
-    ?home:(int -> int) ->
-    processors:int ->
-    clients:int ->
-    horizon:Lrpc_sim.Time.t ->
-    unit ->
-    scale_stats
-  (** @deprecated Use {!Driver.lrpc_scale}. *)
-
-  val lrpc_throughput :
-    ?cost_model:Lrpc_sim.Cost_model.t ->
-    ?domain_caching:bool ->
-    ?engine_domains:int ->
-    processors:int ->
-    clients:int ->
-    horizon:Lrpc_sim.Time.t ->
-    unit ->
-    float
-  (** @deprecated Use {!Driver.lrpc_throughput}. *)
-
-  val mpass_scale :
-    ?engine_domains:int ->
-    Lrpc_msgrpc.Profile.t ->
-    processors:int ->
-    clients:int ->
-    horizon:Lrpc_sim.Time.t ->
-    scale_stats
-  (** @deprecated Use {!Driver.mpass_scale}. *)
-
-  val mpass_throughput :
-    ?engine_domains:int ->
-    Lrpc_msgrpc.Profile.t ->
-    processors:int ->
-    clients:int ->
-    horizon:Lrpc_sim.Time.t ->
-    float
-  (** @deprecated Use {!Driver.mpass_throughput}. *)
-end

@@ -524,9 +524,11 @@ let minor_words_of f =
 
 let alloc_overhead () = minor_words_of ignore
 
-(* Minor words per warm Null LRPC on one thread, measured at 334 with the
-   dev profile's native code; the gate leaves ~10% headroom. *)
-let null_call_word_budget = 370.0
+(* Minor words per warm Null LRPC on one thread, measured at 142 with
+   the dev profile's native code (324 before the call path stopped
+   building closures, continuation boxes and linkage bookkeeping cells
+   per call); the gate leaves ~10% headroom. *)
+let null_call_word_budget = 156.0
 
 let test_alloc_null_call () =
   let w = make_world () in
@@ -631,10 +633,11 @@ let test_alloc_steal_loop () =
       per_event delay_per_event
 
 (* Minor words per warm async Null call (issue, carrier spawn, await),
-   measured at 427 with the dev profile's native code (528 before
-   spawning stopped building per-thread handler closures and a [Printf]
-   name); ~10% headroom. *)
-let async_call_word_budget = 470.0
+   measured at 244 with the dev profile's native code (427 before the
+   call path stopped allocating its own plumbing, 528 before spawning
+   stopped building per-thread handler closures and a [Printf] name);
+   ~10% headroom. *)
+let async_call_word_budget = 268.0
 
 let test_alloc_async_null_call () =
   let w = make_world () in
@@ -662,10 +665,11 @@ let test_alloc_async_null_call () =
 
 (* Minor words per warm synchronous Null call with domain caching on 16
    processors, where every transfer consults the idle processors and
-   every idle processor consults the prod policy: measured at 448
-   (dev profile; 1 990 before the scheduling path stopped allocating);
+   every idle processor consults the prod policy: measured at 270
+   (dev profile; 448 before the call path stopped allocating its own
+   plumbing, 1 990 before the scheduling path stopped allocating);
    ~10% headroom. *)
-let mp_call_word_budget = 490.0
+let mp_call_word_budget = 297.0
 
 let test_alloc_null_call_caching_16 () =
   let w = make_world ~processors:16 () in
@@ -690,6 +694,95 @@ let test_alloc_null_call_caching_16 () =
       "Null call with caching on 16 CPUs allocates %.1f minor words/call \
        (budget %.0f)"
       per_call mp_call_word_budget
+
+(* Minor words per warm call of the paper's four-test mix (Null, Add,
+   BigIn, BigInOut in turn) through [Driver.bench_interface]: the 200 B
+   argument values, their encodings and the decoded results are the
+   call's own data. Measured at 241 (dev profile; ~10% headroom). *)
+let mix_call_word_budget = 265.0
+
+let test_alloc_four_test_mix () =
+  let module Driver = Lrpc_workload.Driver in
+  let w = Driver.make_lrpc () in
+  let tests = Array.of_list (Driver.four_tests ()) in
+  let calls = 200 in
+  let words = ref 0.0 in
+  ignore
+    (Kernel.spawn w.Driver.lw_kernel w.Driver.lw_client (fun () ->
+         let rt = w.Driver.lw_rt in
+         let b = Api.import rt ~domain:w.Driver.lw_client ~interface:"Bench" in
+         let call i =
+           let t = tests.(i land 3) in
+           ignore (Api.call rt b ~proc:t.Driver.proc t.Driver.args)
+         in
+         for i = 1 to 20 do
+           call i
+         done;
+         let overhead = alloc_overhead () in
+         words :=
+           minor_words_of (fun () ->
+               for i = 1 to calls do
+                 call i
+               done)
+           -. overhead));
+  Engine.run w.Driver.lw_engine;
+  Alcotest.(check (list pass))
+    "no failures" [] (Engine.failures w.Driver.lw_engine);
+  let per_call = !words /. float_of_int calls in
+  if per_call > mix_call_word_budget then
+    Alcotest.failf "four-test mix allocates %.1f minor words/call (budget %.0f)"
+      per_call mix_call_word_budget
+
+(* Ablation A4's global kernel lock brackets both kernel sections of
+   every call. Measured at 142 (dev profile), the same as the lock-free
+   Null call: taking and releasing a free lock allocates nothing. *)
+let a4_call_word_budget = 156.0
+
+let test_alloc_null_call_global_lock () =
+  let w =
+    make_world
+      ~config:{ Rt.default_config with Rt.kernel_lock = `Global }
+      ()
+  in
+  let calls = 200 in
+  let words = ref 0.0 in
+  in_client w (fun () ->
+      let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+      for _ = 1 to 20 do
+        ignore (Api.call w.rt b ~proc:"null" [])
+      done;
+      let overhead = alloc_overhead () in
+      words :=
+        minor_words_of (fun () ->
+            for _ = 1 to calls do
+              ignore (Api.call w.rt b ~proc:"null" [])
+            done)
+        -. overhead);
+  let per_call = !words /. float_of_int calls in
+  if per_call > a4_call_word_budget then
+    Alcotest.failf
+      "Null call under the global kernel lock allocates %.1f minor \
+       words/call (budget %.0f)"
+      per_call a4_call_word_budget
+
+(* The call path's count gauges (calls in flight, outstanding linkages)
+   are set on every call; a warm set must not box its value. *)
+let test_alloc_gauge_set () =
+  let m = Lrpc_obs.Metrics.create () in
+  let g = Lrpc_obs.Metrics.gauge m "g" in
+  let sets () =
+    for i = 1 to 1000 do
+      Lrpc_obs.Metrics.Gauge.set_int g i
+    done
+  in
+  sets ();
+  let overhead = alloc_overhead () in
+  let words = minor_words_of sets in
+  Alcotest.(check (float 0.0)) "warm Gauge.set_int allocates nothing" 0.0
+    (words -. overhead);
+  Alcotest.(check (float 0.0)) "value" 1000.0 (Lrpc_obs.Metrics.Gauge.value g);
+  Lrpc_obs.Metrics.Gauge.set g 2.5;
+  Alcotest.(check (float 0.0)) "set" 2.5 (Lrpc_obs.Metrics.Gauge.value g)
 
 (* --- retention gates --------------------------------------------------------
 
@@ -770,6 +863,24 @@ let test_async_calls_do_not_leak () =
       growth := live_words () - at_2k);
   if !growth > 2_000 then
     Alcotest.failf "live heap grew %d words over 6 000 async calls" !growth
+
+(* A thread that made synchronous calls keeps its linkstack while it
+   lives; once it has finished, the next thread's first call may sweep
+   it. A thousand one-call threads must not leave a thousand stacks. *)
+let test_finished_threads_drop_linkstacks () =
+  let w = make_world () in
+  let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+  for _ = 1 to 1_000 do
+    ignore
+      (Kernel.spawn w.kernel w.client (fun () ->
+           ignore (Api.call w.rt b ~proc:"null" [])))
+  done;
+  Engine.run w.engine;
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures w.engine);
+  Alcotest.(check int) "no linkages" 0 (Kernel.total_linkages w.kernel);
+  let kept = Hashtbl.length w.rt.Rt.linkstacks in
+  if kept > 128 then
+    Alcotest.failf "%d linkstacks kept after 1 000 finished threads" kept
 
 let test_breakdown_matches_table5 () =
   let w = make_world () in
@@ -1088,6 +1199,215 @@ let test_terminate_server_fails_caller () =
          | _ -> Alcotest.fail "revoked binding accepted"));
   Engine.run engine
 
+(* --- IDL boundary values through a real call -------------------------------
+
+   The marshal (copy A), output store and readback (copy F) walks at
+   their edges: extreme 32-bit integers, empty and maximum-length
+   variable byte arrays, a fixed array at exactly its size, and outputs
+   or inputs one past what their type allows, which must raise
+   [Conformance_error] and leave the A-stack pool full. *)
+
+let edge_iface =
+  I.interface "Edge"
+    [
+      I.proc ~result:I.Int32 "echo_i32" [ I.param "x" I.Int32 ];
+      I.proc "echo_var" [ I.param ~mode:I.In_out "buf" (I.Var_bytes 64) ];
+      I.proc "echo_fixed" [ I.param ~mode:I.In_out "buf" (I.Fixed_bytes 16) ];
+      I.proc ~result:(I.Var_bytes 8) "grow" [ I.param "n" I.Int32 ];
+    ]
+
+let edge_impls =
+  let arg0 ctx = Server_ctx.arg ctx 0 in
+  [
+    ("echo_i32", fun ctx -> [ arg0 ctx ]);
+    ("echo_var", fun ctx -> [ arg0 ctx ]);
+    ("echo_fixed", fun ctx -> [ arg0 ctx ]);
+    ( "grow",
+      fun ctx ->
+        match arg0 ctx with
+        | V.Int n -> [ V.bytes (Bytes.make n 'g') ]
+        | _ -> Alcotest.fail "grow: bad arg" );
+  ]
+
+let test_idl_boundaries_round_trip () =
+  let w = make_world () in
+  ignore (Api.export w.rt ~domain:w.server edge_iface ~impls:edge_impls);
+  let b = Api.import w.rt ~domain:w.client ~interface:"Edge" in
+  let bytes_eq =
+    Alcotest.testable (Fmt.of_to_string Bytes.to_string) Bytes.equal
+  in
+  let echo_bytes proc v =
+    match Api.call w.rt b ~proc [ V.bytes v ] with
+    | [ V.Bytes out ] -> out
+    | _ -> Alcotest.failf "%s: bad result shape" proc
+  in
+  let conformance what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception V.Conformance_error _ -> ()
+  in
+  in_client w (fun () ->
+      let min32 = Int32.to_int Int32.min_int
+      and max32 = Int32.to_int Int32.max_int in
+      List.iter
+        (fun x ->
+          match Api.call w.rt b ~proc:"echo_i32" [ V.int x ] with
+          | [ V.Int y ] -> Alcotest.(check int) "int32 round trip" x y
+          | _ -> Alcotest.fail "echo_i32: bad result shape")
+        [ min32; max32; -1; 0 ];
+      conformance "int32 max + 1" (fun () ->
+          Api.call w.rt b ~proc:"echo_i32" [ V.int (max32 + 1) ]);
+      conformance "int32 min - 1" (fun () ->
+          Api.call w.rt b ~proc:"echo_i32" [ V.int (min32 - 1) ]);
+      Alcotest.check bytes_eq "empty var bytes" Bytes.empty
+        (echo_bytes "echo_var" Bytes.empty);
+      let full = Bytes.init 64 (fun i -> Char.chr (255 - i)) in
+      Alcotest.check bytes_eq "max-length var bytes" full
+        (echo_bytes "echo_var" full);
+      conformance "var bytes one past max" (fun () ->
+          echo_bytes "echo_var" (Bytes.make 65 'x'));
+      let exact = Bytes.init 16 (fun i -> Char.chr (i * 16)) in
+      Alcotest.check bytes_eq "fixed bytes at size" exact
+        (echo_bytes "echo_fixed" exact);
+      conformance "fixed bytes one short" (fun () ->
+          echo_bytes "echo_fixed" (Bytes.make 15 'x'));
+      (match Api.call w.rt b ~proc:"grow" [ V.int 8 ] with
+      | [ V.Bytes out ] ->
+          Alcotest.(check int) "output at its max" 8 (Bytes.length out)
+      | _ -> Alcotest.fail "grow: bad result shape");
+      conformance "oversize output" (fun () ->
+          Api.call w.rt b ~proc:"grow" [ V.int 9 ]));
+  Alcotest.(check int) "no linkages" 0 (Kernel.total_linkages w.kernel);
+  List.iter
+    (fun (proc, pb) ->
+      let pool = pb.Rt.pb_pool in
+      Alcotest.(check int) (proc ^ ": pool full")
+        (List.length pool.Rt.ap_all) (Astack.free_count pool))
+    b.Rt.b_procs
+
+(* --- exception paths of the completion half ------------------------------
+
+   A call can be cut short at any delay point of its completion half.
+   The sweeps below cut one call at every microsecond of its life, on the
+   lock-free runtime and under ablation A4's global kernel lock, and
+   check afterwards that the books balance: no linkage outstanding, the
+   A-stack pool full, the caller's linkstack empty and the global lock
+   free. *)
+
+let no_thread_failures engine =
+  match Engine.failures engine with
+  | [] -> ()
+  | (th, exn) :: _ ->
+      Alcotest.failf "thread %s died: %s" (Engine.thread_name th)
+        (Printexc.to_string exn)
+
+let books_balanced ~what rt kernel b ~proc caller =
+  Alcotest.(check int)
+    (what ^ ": no linkages") 0 (Kernel.total_linkages kernel);
+  let pool = (List.assoc proc b.Rt.b_procs).Rt.pb_pool in
+  Alcotest.(check int) (what ^ ": pool full")
+    (List.length pool.Rt.ap_all) (Astack.free_count pool);
+  Alcotest.(check bool) (what ^ ": caller's linkstack empty") true
+    (Option.is_none (Rt.linkstack_top rt caller));
+  match rt.Rt.global_kernel_lock with
+  | Some lk ->
+      Alcotest.(check bool) (what ^ ": global lock free") true
+        (Option.is_none (Spinlock.holder lk))
+  | None -> ()
+
+(* One call of a procedure doing 20 us of server work, on CPU 0 of 2. *)
+let cut_world ~kernel_lock =
+  let engine = Engine.create ~processors:2 cm in
+  let kernel = Kernel.boot engine in
+  let rt = Api.init ~config:{ Rt.default_config with Rt.kernel_lock } kernel in
+  let server = Kernel.create_domain kernel ~name:"victim" in
+  let client = Kernel.create_domain kernel ~name:"app" in
+  ignore
+    (Api.export rt ~domain:server
+       (I.interface "V" [ I.proc "work" [] ])
+       ~impls:
+         [
+           ( "work",
+             fun _ctx ->
+               Engine.delay ~category:Category.Server_work engine (Time.us 20);
+               [] );
+         ]);
+  let b = Api.import rt ~domain:client ~interface:"V" in
+  (engine, kernel, rt, server, client, b)
+
+let cut_span_us = 260
+
+(* The server domain terminates at [at] us, wherever the call is: before
+   it enters the kernel, inside the kernel sections, in the procedure
+   body, or on its way home. Termination outside the body unwinds the
+   completion half with [Unwind_termination]. *)
+let test_terminate_at_every_point () =
+  List.iter
+    (fun kernel_lock ->
+      let failed = ref 0 and ok = ref 0 in
+      for at = 0 to cut_span_us do
+        let engine, kernel, rt, server, client, b = cut_world ~kernel_lock in
+        let caller =
+          Kernel.spawn kernel client ~home:0 (fun () ->
+              match Api.call_result rt b ~proc:"work" [] with
+              | Ok _ -> incr ok
+              | Error (Api.Failed _ | Api.Rejected _) -> incr failed
+              | Error (Api.Stub_raised m)
+                when String.starts_with
+                       ~prefix:"Lrpc_kernel.Kernel.Domain_terminated" m ->
+                  (* Terminated between the binding check and the
+                     E-stack association: the allocation in the dead
+                     domain raises, untyped. *)
+                  incr failed
+              | Error f ->
+                  Alcotest.failf "terminated at %d us: %s" at
+                    (Api.failure_to_string f))
+        in
+        ignore
+          (Kernel.spawn kernel client ~home:1 (fun () ->
+               Engine.delay engine (Time.us at);
+               Api.terminate_domain rt server));
+        Engine.run engine;
+        no_thread_failures engine;
+        books_balanced ~what:(Printf.sprintf "terminated at %d us" at) rt kernel
+          b ~proc:"work" caller
+      done;
+      Alcotest.(check bool) "some calls cut" true (!failed > 0);
+      Alcotest.(check bool) "some calls finished first" true (!ok > 0))
+    [ `Per_astack; `Global ]
+
+(* A deadline of [d] us abandons the call's carrier wherever it is: not
+   yet started, on its way in, captured in the server (§5.3: destroyed
+   on return, its A-stack reclaimed then), or racing the landing. *)
+let test_deadline_at_every_point () =
+  List.iter
+    (fun kernel_lock ->
+      let late = ref 0 and ok = ref 0 in
+      for d = 1 to cut_span_us do
+        let engine, kernel, rt, _server, client, b = cut_world ~kernel_lock in
+        let caller =
+          Kernel.spawn kernel client ~home:0 (fun () ->
+              match
+                Api.call_result
+                  ~options:
+                    { Api.Options.default with deadline = Some (Time.us d) }
+                  rt b ~proc:"work" []
+              with
+              | Ok _ -> incr ok
+              | Error (Api.Deadline _) -> incr late
+              | Error f ->
+                  Alcotest.failf "deadline %d us: %s" d
+                    (Api.failure_to_string f))
+        in
+        Engine.run engine;
+        no_thread_failures engine;
+        books_balanced ~what:(Printf.sprintf "deadline %d us" d) rt kernel b
+          ~proc:"work" caller
+      done;
+      Alcotest.(check bool) "some deadlines fired" true (!late > 0);
+      Alcotest.(check bool) "some calls made it" true (!ok > 0))
+    [ `Per_astack; `Global ]
+
 let test_release_captured_thread () =
   let engine = Engine.create ~processors:2 cm in
   let kernel = Kernel.boot engine in
@@ -1385,6 +1705,11 @@ let () =
             test_alloc_async_null_call;
           Alcotest.test_case "caching null call on 16 cpus" `Quick
             test_alloc_null_call_caching_16;
+          Alcotest.test_case "four-test mix budget" `Quick
+            test_alloc_four_test_mix;
+          Alcotest.test_case "global lock null call budget" `Quick
+            test_alloc_null_call_global_lock;
+          Alcotest.test_case "warm gauge set" `Quick test_alloc_gauge_set;
           Alcotest.test_case "steal loop vs delay loop" `Quick
             test_alloc_steal_loop;
           Alcotest.test_case "untouched region unbacked" `Quick
@@ -1395,6 +1720,8 @@ let () =
             test_alloc_histogram_add_warm;
           Alcotest.test_case "async calls do not leak" `Quick
             test_async_calls_do_not_leak;
+          Alcotest.test_case "finished threads drop linkstacks" `Quick
+            test_finished_threads_drop_linkstacks;
         ] );
       ( "astacks",
         [
@@ -1418,10 +1745,19 @@ let () =
           Alcotest.test_case "memory pressure" `Quick test_estack_reclaim_under_memory_pressure;
           Alcotest.test_case "global lock serial" `Quick test_global_kernel_lock_serial_latency_unchanged;
         ] );
+      ( "idl boundaries",
+        [
+          Alcotest.test_case "round trip through a call" `Quick
+            test_idl_boundaries_round_trip;
+        ] );
       ( "termination",
         [
           Alcotest.test_case "server dies" `Quick test_terminate_server_fails_caller;
           Alcotest.test_case "captured thread" `Quick test_release_captured_thread;
+          Alcotest.test_case "terminate at every point" `Quick
+            test_terminate_at_every_point;
+          Alcotest.test_case "deadline at every point" `Quick
+            test_deadline_at_every_point;
           Alcotest.test_case "alert" `Quick test_alert_reaches_server;
         ] );
       ("properties", qsuite);
