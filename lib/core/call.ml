@@ -263,10 +263,20 @@ let call_side rt h lc th ls =
   linkage.l_return_domain <- linkage.l_client;
   linkstack_push ls linkage;
   Kernel.linkage_claimed rt.kernel th;
-  let estack = Estack.associate rt ~server astack in
-  (* Domain transfer: the executing thread crosses into the server. *)
-  transfer_to rt ~target:server;
-  Footprint.call_side rt b astack estack ~data_region:lc.lc_region
+  match
+    let estack = Estack.associate rt ~server astack in
+    (* Domain transfer: the executing thread crosses into the server. *)
+    transfer_to rt ~target:server;
+    Footprint.call_side rt b astack estack ~data_region:lc.lc_region
+  with
+  | () -> ()
+  | exception Kernel.Domain_terminated _ ->
+      (* The server terminated after [Binding.verify] passed, while this
+         thread was still in the client, so no unwind was delivered to
+         it; allocating its E-stack or first-touch pages in the dead
+         domain fails instead. Unwind like any other termination
+         outside the procedure body. *)
+      raise Unwind_termination
 
 (* How the linkage stood when the return path released it. *)
 type verdict = Valid | Invalidated | Abandoned
@@ -413,9 +423,11 @@ let complete_local rt h lc =
       (* The server domain terminated under us outside the procedure
          body (the in-body case surfaces through the normal return
          path). Unwind the linkage claim, reclaim the A-stack, and come
-         home so the restarted caller continues in its own domain. *)
+         home, if the thread had crossed over, so the restarted caller
+         continues in its own domain. *)
       crash_cleanup rt lc ~client th ls;
-      if Pdomain.active client then begin
+      if Pdomain.active client && Engine.thread_domain th <> client.Pdomain.id
+      then begin
         transfer_to rt ~target:client;
         Footprint.return_side rt b
       end;

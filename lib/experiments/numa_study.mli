@@ -38,7 +38,6 @@ type result = {
 val run :
   ?max_cpus:int ->
   ?horizon:Lrpc_sim.Time.t ->
-  ?engine_domains:int ->
   unit ->
   result
 (** Ladder of 4–32 processors (clusters of 4, 4x cross-cluster

@@ -16,7 +16,6 @@ type config = {
   calls : int;
   clients : int;
   processors : int;
-  engine_domains : int;
   spec : Plan.spec;
   remote_share : float;
   async_share : float;
@@ -39,7 +38,6 @@ let default =
     calls = 6_000;
     clients = 8;
     processors = 4;
-    engine_domains = 1;
     spec =
       {
         Plan.none with
@@ -155,7 +153,6 @@ let run cfg =
         cost_model =
           Option.value cfg.cost_model
             ~default:Driver.Config.default.Driver.Config.cost_model;
-        engine_domains = Some cfg.engine_domains;
         trace_capacity = Some cfg.trace_capacity;
         domain_caching = cfg.domain_caching;
         prod_half_life_us = cfg.prod_half_life_us;

@@ -16,10 +16,6 @@ type config = {
   calls : int;  (** total calls across all clients *)
   clients : int;  (** client threads *)
   processors : int;
-  engine_domains : int;
-      (** host domains the engine shards over (see
-          {!Lrpc_sim.Engine.create}); the report — digest included — is
-          bit-identical for any value *)
   spec : Plan.spec;  (** fault probabilities; [spec.seed] is overridden
                          by [seed] above *)
   remote_share : float;  (** fraction of calls taking the network path *)

@@ -35,8 +35,6 @@ val histogram :
     an overflow bin — sized for microsecond-scale call latencies).
     [bin_width]/[max_value] are only consulted on first registration. *)
 
-(** Counters are atomic: safe to bump from any host domain (the
-    partitioned engine's parallel windows do), and totals are exact. *)
 module Counter : sig
   val incr : counter -> unit
   val add : counter -> int -> unit
@@ -45,8 +43,6 @@ module Counter : sig
   val name : counter -> string
 end
 
-(** Gauges are single-writer: set them only from serial (merged)
-    execution, never inside a parallel window. *)
 module Gauge : sig
   val set : gauge -> float -> unit
   (** Stores the value unboxed: a set the compiler inlines allocates

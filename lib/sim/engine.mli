@@ -21,20 +21,12 @@
     this reproduces Figure 2's sub-linear 3.7x speedup at four C-VAX
     processors.
 
-    {b Partitioned execution.} The simulated processors are sharded into
-    [domains] contiguous partitions, each owning a run heap for thread
-    resumptions and a timer heap for {!at} timers;
-    every event carries an engine-assigned (time, key) pair forming one
-    global total order across partitions, so the merged execution order
-    — and therefore every output byte — is independent of the domain
-    count. Models whose bus dilation couples all processors (every paper
-    machine) have zero effective lookahead and are executed by a single
-    merging executor whatever the domain count; models constructed with
-    {!Cost_model.isolated} declare a positive lookahead, and their
-    partitions execute genuinely in parallel on separate host domains
-    inside conservative time windows of that width, exchanging cross-
-    partition effects as timestamped mailbox messages applied in exact
-    global order. See DESIGN.md "Partitioned engine". *)
+    {b One run loop.} Thread resumptions and {!at} timers sit in two
+    heaps under one (time, key) order, and {!run} pops whichever head
+    comes first. Because the bus dilation couples every processor with
+    zero latency, a paper machine cannot be split across host domains
+    without serializing it again; parallelism lives one level up, across
+    independent artifacts (see DESIGN.md "Engine"). *)
 
 type t
 
@@ -64,12 +56,6 @@ type cpu = {
           {!Cost_model.topology} (otherwise 0) *)
   mutable steals_far : int;  (** steals from a foreign cluster's queue *)
   mutable lock_spin : Time.t;  (** cumulative spin-wait time on this CPU *)
-  mutable key_seq : int;
-      (** isolated models: per-CPU event-key counter, invariant under the
-          partition layout (internal) *)
-  mutable rq_stamp : int;
-      (** isolated models: per-queue enqueue stamp (internal; stealing is
-          disabled, so stamps never compare across queues) *)
 }
 
 exception Thread_killed
@@ -78,37 +64,17 @@ exception Thread_killed
 exception Not_in_thread
 (** Raised by in-thread operations invoked outside any simulated thread. *)
 
-exception Cross_partition_interaction of string
-(** Raised when an operation would couple two partitions with zero
-    simulated latency under an isolated (genuinely parallel) model —
-    direct handoffs, spawning inside a parallel window, or (via the
-    {!Spinlock}/{!Waitq} ownership checks) two partitions touching one
-    synchronization object within the same window. Loud failure instead
-    of a silent host-level race. *)
-
 (** {1 Construction and execution} *)
 
 val create : ?processors:int -> ?domains:int -> Cost_model.t -> t
 (** [create cm] builds a machine with [processors] (default 1) CPUs, each
-    with a cold TLB per [cm], sharded across [domains] partitions
-    (default {!default_domains}, clamped to [processors]). The simulated
-    output is bit-identical for every [domains] value; only host
-    wall-clock may differ. @raise Invalid_argument on [domains < 1] or
-    an isolated model with nonzero [bus_alpha]. *)
+    with a cold TLB per [cm].
 
-val set_default_domains : int -> unit
-(** Process-wide default for {!create}'s [domains] (initially 1) — the
-    [--engine-domains] CLI knob sets it once before constructing any
-    machine, so every experiment inherits it without plumbing. Not
-    synchronized: set it before fanning work across host domains. *)
-
-val default_domains : unit -> int
-
-val domains : t -> int
-(** Number of partitions actually in use ([min domains processors]). *)
-
-val lookahead : t -> Time.t
-(** Synchronization-window width: {!Cost_model.lookahead} of the model. *)
+    [domains] is deprecated: the engine always runs on one host domain,
+    so the only accepted value is 1 (the default). It stays for callers
+    written against the old partitioned engine and goes with the next
+    change to the benchmark harness.
+    @raise Invalid_argument on any [domains] other than 1. *)
 
 val cost_model : t -> Cost_model.t
 val now : t -> Time.t
@@ -119,8 +85,7 @@ val spawn : ?name:string -> ?home:int -> t -> domain:int -> (unit -> unit) -> th
     dispatched to a free processor ([home] is preferred when free) or
     queued. The body runs as a coroutine; any exception it does not catch
     marks the thread failed (see {!failures}) without aborting the
-    simulation. Isolated models require [home] pinning (placement is
-    partition-local) and forbid spawning inside a parallel window. *)
+    simulation. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Process events until the queue empties or the next event would be
@@ -243,8 +208,7 @@ val set_idle_hook : t -> (cpu -> unit) -> unit
 val queued_threads : t -> int
 (** Threads waiting in a run queue (each holds one live entry; ghost
     cells left by steals do not count). When it is 0 a free processor
-    skips the steal scan and goes straight to the idle hook. Standard
-    models only: isolated models never steal, and report 0. *)
+    skips the steal scan and goes straight to the idle hook. *)
 
 val total_steals : t -> int
 (** Threads taken from another processor's run queue since creation
@@ -263,11 +227,6 @@ val topology : t -> Cost_model.topology option
 val victim_ring : t -> int -> int array
 (** A copy of the distance-ordered steal scan order for the given CPU
     (near cluster first); [[||]] when the model has no topology. *)
-
-val set_barrier_hook : t -> (unit -> unit) -> unit
-(** Install a callback run after every parallel-window barrier commit —
-    a quiescent point where no partition is executing. Never called by
-    the serial or merge loops (use a timer there). Default: ignore. *)
 
 val interrupt : t -> thread -> exn -> unit
 (** Arrange for [exn] to be raised inside the thread at its next
@@ -333,24 +292,4 @@ val emit : ?tid:int -> ?cpu:int -> t -> Lrpc_obs.Event.t -> unit
     the current simulated time. [tid]/[cpu] default to the currently
     executing thread's, or -1 outside any thread. Used by the kernel and
     runtime layers for traps, copies, binding, termination and network
-    events. Inside a parallel window the event is staged on the
-    executing partition and merged into the tracer in deterministic
-    (time, event key, emission ordinal) order at the barrier, so trace
-    digests are domain-count-invariant. *)
-
-(** {1 Parallel-window introspection}
-
-    Used by {!Spinlock}/{!Waitq} to detect two partitions touching one
-    synchronization object inside the same window — an interaction the
-    isolated-model contract forbids — and by tests. *)
-
-val parallel_phase : t -> bool
-(** True while a parallel window is executing (isolated models, several
-    domains); engine-global state must not be assumed coherent. *)
-
-val executing_partition : t -> int
-(** Partition index the calling host domain is executing, or -1 outside
-    a parallel window. *)
-
-val window_id : t -> int
-(** Monotonic counter of synchronization windows started. *)
+    events. *)

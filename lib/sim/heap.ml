@@ -1,7 +1,7 @@
 (* Struct-of-arrays binary min-heap keyed by (time, sequence).
 
-   The engine's event queue is two of these per partition (thread
-   resumptions and timers), popped once per simulated event, so the
+   The engine's event queue is two of these (thread resumptions and
+   timers), popped once per simulated event, so the
    representation is chosen for the host hot path: three parallel
    arrays (times, sequences, payloads) instead of one heap-allocated
    entry record per push. A push writes three slots and sifts; no
@@ -108,6 +108,15 @@ let top_time t =
 let top_key t =
   if t.size = 0 then invalid_arg "Heap.top_key: empty heap";
   t.seqs.(0)
+
+let[@inline] earlier a b =
+  if is_empty b then a
+  else if is_empty a then b
+  else
+    let ta = Array.unsafe_get a.times 0 and tb = Array.unsafe_get b.times 0 in
+    if ta < tb || (ta = tb && Array.unsafe_get a.seqs 0 < Array.unsafe_get b.seqs 0)
+    then a
+    else b
 
 let take t =
   if t.size = 0 then invalid_arg "Heap.take: empty heap";

@@ -21,12 +21,17 @@ val push : 'a t -> time:Time.t -> 'a -> unit
 
 val push_key : 'a t -> time:Time.t -> key:int -> 'a -> unit
 (** Like {!push} but with a caller-chosen tiebreak key instead of the
-    internal insertion sequence. The partitioned engine assigns keys
-    centrally so that the (time, key) order is a {e global} total order
-    across several per-partition heaps — the merged pop order is then
-    independent of how events were sharded. Callers must keep keys
-    unique among coexisting equal-time entries and should not mix
-    [push] and [push_key] on one heap. *)
+    internal insertion sequence. The engine draws the keys of its two
+    heaps from one counter, so (time, key) is a total order across both
+    (see {!earlier}). Callers must keep keys unique among coexisting
+    equal-time entries and should not mix [push] and [push_key] on one
+    heap. *)
+
+val earlier : 'a t -> 'a t -> 'a t
+(** The heap whose head comes first in (time, key) order, [a] when both
+    are empty. With keys unique across the two heaps, repeatedly taking
+    from [earlier a b] drains their union in exactly the order one heap
+    holding every entry would give. Allocation-free. *)
 
 val top_time : 'a t -> Time.t
 (** Time of the earliest event, without allocating.

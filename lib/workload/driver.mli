@@ -51,10 +51,10 @@ module Config : sig
             overrides it with the profile's [hw]. *)
     processors : int;  (** simulated CPUs (default 1) *)
     engine_domains : int option;
-        (** forwarded to {!Lrpc_sim.Engine.create}'s [domains]: how many
-            host domains the machine's processors shard across.
-            Simulated results are bit-identical for any value;
-            [None] uses {!Lrpc_sim.Engine.default_domains}. *)
+        (** Deprecated, forwarded to {!Lrpc_sim.Engine.create}'s
+            [domains]: [None] and [Some 1] are the only accepted values,
+            and {!boot} raises [Invalid_argument] on any other. It goes
+            with the next change to the benchmark harness. *)
     runtime : Lrpc_core.Rt.config option;
         (** LRPC runtime tuning (A-stack pool sizes, E-stack policy);
             [None] is {!Lrpc_core.Rt.default_config}. *)

@@ -1352,13 +1352,6 @@ let test_terminate_at_every_point () =
               match Api.call_result rt b ~proc:"work" [] with
               | Ok _ -> incr ok
               | Error (Api.Failed _ | Api.Rejected _) -> incr failed
-              | Error (Api.Stub_raised m)
-                when String.starts_with
-                       ~prefix:"Lrpc_kernel.Kernel.Domain_terminated" m ->
-                  (* Terminated between the binding check and the
-                     E-stack association: the allocation in the dead
-                     domain raises, untyped. *)
-                  incr failed
               | Error f ->
                   Alcotest.failf "terminated at %d us: %s" at
                     (Api.failure_to_string f))

@@ -156,6 +156,27 @@ let test_erpc_multipacket_fragmentation () =
   Alcotest.(check bool) "zero-copy counted both directions" true
     (ctr engine "net.erpc.zerocopy_bytes" = 8192)
 
+(* Fragment count at the MTU boundary: a payload of exactly
+   [mtu - header_bytes] bytes still fits one packet each way, one byte
+   more needs a second. The blob procedure echoes its argument, so both
+   directions carry the same payload. *)
+let test_erpc_mtu_boundary () =
+  let p = Erpc.default_params in
+  let cap = p.Erpc.mtu - p.Erpc.header_bytes in
+  let pkts bytes =
+    let engine, kernel, rt, client, server = make_world () in
+    let b = Erpc.import_remote rt ~client ~server iface ~impls in
+    ignore
+      (Kernel.spawn kernel client (fun () ->
+           ignore (Api.call rt b ~proc:"blob" [ V.bytes (Bytes.create bytes) ])));
+    Engine.run engine;
+    Alcotest.(check (list pass)) "no failures" [] (Engine.failures engine);
+    ctr engine "net.erpc.pkts_sent"
+  in
+  Alcotest.(check int) "cap - 1: one packet each way" 2 (pkts (cap - 1));
+  Alcotest.(check int) "cap: one packet each way" 2 (pkts cap);
+  Alcotest.(check int) "cap + 1: two packets each way" 4 (pkts (cap + 1))
+
 let test_erpc_binding_cache_ablation () =
   let run ~binding_cache =
     let engine, kernel, rt, client, server = make_world () in
@@ -313,6 +334,7 @@ let () =
             test_erpc_roundtrip_and_latency;
           Alcotest.test_case "fragmentation" `Quick
             test_erpc_multipacket_fragmentation;
+          Alcotest.test_case "mtu boundary" `Quick test_erpc_mtu_boundary;
           Alcotest.test_case "binding cache" `Quick
             test_erpc_binding_cache_ablation;
           Alcotest.test_case "credit invariant (qcheck)" `Quick

@@ -69,6 +69,24 @@ let test_heap_take_top_time () =
     (Invalid_argument "Heap.take: empty heap") (fun () ->
       ignore (Heap.take h))
 
+(* The run loop's pick between its run and timer heaps: earliest time
+   first, the key on a time tie, the first heap when both are empty. *)
+let test_heap_earlier () =
+  let mk entries =
+    let h = Heap.create () in
+    List.iter (fun (t, k) -> Heap.push_key h ~time:t ~key:k ()) entries;
+    h
+  in
+  let a = Heap.create () and b = Heap.create () in
+  Alcotest.(check bool) "all empty: first" true (Heap.earlier a b == a);
+  let a = mk [ (10, 3) ] in
+  Alcotest.(check bool) "one empty: the other" true (Heap.earlier b a == a);
+  let b = mk [ (5, 9) ] in
+  Alcotest.(check bool) "earliest time wins" true (Heap.earlier a b == b);
+  ignore (Heap.take b);
+  Heap.push_key b ~time:10 ~key:2 ();
+  Alcotest.(check bool) "key breaks time ties" true (Heap.earlier a b == b)
+
 (* Random push/pop interleavings against a sorted-list reference model:
    pops must come back in nondecreasing time order with FIFO on equal
    timestamps, exactly as a stable insertion sort would produce. *)
@@ -370,55 +388,43 @@ let test_delay_outside_thread () =
   Alcotest.(check (option string)) "timer" (Some "Not_in_thread") !from_timer;
   check_time "no time consumed" (Time.us 3) (Engine.now e)
 
-(* Timers and thread resumptions live in separate partition heaps; at the
-   same simulated instant they must still run in push (key) order, under
-   every run loop: serial, the bus-coupled merge, and parallel windows. *)
-let tie_engines () =
-  let iso = Cost_model.isolated ~lookahead:(Time.us 5) ~name:"iso" cm in
-  [
-    ("serial", Engine.create ~processors:1 cm_no_bus);
-    ("merge", Engine.create ~processors:2 ~domains:2 cm_no_bus);
-    ("parallel", Engine.create ~processors:2 ~domains:2 iso);
-  ]
-
+(* Timers and thread resumptions live in separate heaps; at the same
+   simulated instant they must still run in push (key) order. *)
 let test_timer_resumption_tie_order () =
-  List.iter
-    (fun (loop, e) ->
-      let log = ref [] in
-      let note s = log := (s, Engine.now e) :: !log in
-      ignore
-        (Engine.spawn e ~domain:0 ~home:0 (fun () ->
-             (* Timer pushed before the resumption: it fires first. *)
-             let t0 = Engine.now e in
-             ignore
-               (Engine.at e (Time.add t0 (Time.us 10)) (fun () ->
-                    note "timer1"));
-             Engine.delay e (Time.us 10);
-             note "thread1";
-             (* Resumption pushed before the timer: a zero-delay timer
-                runs once the thread parks, and only then arms the one
-                due with the resumption. *)
-             let t1 = Engine.now e in
-             ignore
-               (Engine.at e t1 (fun () ->
-                    ignore
-                      (Engine.at e (Time.add t1 (Time.us 10)) (fun () ->
-                           note "timer2"))));
-             Engine.delay e (Time.us 10);
-             note "thread2"));
-      Engine.run e;
-      let got = List.rev !log in
-      let t1 = snd (List.hd got) in
-      Alcotest.(check (list (pair string int)))
-        (loop ^ ": push order at equal instants")
-        [
-          ("timer1", t1);
-          ("thread1", t1);
-          ("thread2", t1 + Time.us 10);
-          ("timer2", t1 + Time.us 10);
-        ]
-        got)
-    (tie_engines ())
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let log = ref [] in
+  let note s = log := (s, Engine.now e) :: !log in
+  ignore
+    (Engine.spawn e ~domain:0 ~home:0 (fun () ->
+         (* Timer pushed before the resumption: it fires first. *)
+         let t0 = Engine.now e in
+         ignore
+           (Engine.at e (Time.add t0 (Time.us 10)) (fun () -> note "timer1"));
+         Engine.delay e (Time.us 10);
+         note "thread1";
+         (* Resumption pushed before the timer: a zero-delay timer runs
+            once the thread parks, and only then arms the one due with
+            the resumption. *)
+         let t1 = Engine.now e in
+         ignore
+           (Engine.at e t1 (fun () ->
+                ignore
+                  (Engine.at e (Time.add t1 (Time.us 10)) (fun () ->
+                       note "timer2"))));
+         Engine.delay e (Time.us 10);
+         note "thread2"));
+  Engine.run e;
+  let got = List.rev !log in
+  let t1 = snd (List.hd got) in
+  Alcotest.(check (list (pair string int)))
+    "serial: push order at equal instants"
+    [
+      ("timer1", t1);
+      ("thread1", t1);
+      ("thread2", t1 + Time.us 10);
+      ("timer2", t1 + Time.us 10);
+    ]
+    got
 
 (* Far-future timers parked in the timer heap are invisible to delay
    loops: resumption order and times match the run without them, and
@@ -1022,173 +1028,53 @@ let test_engine_yield_to () =
     [ "producer-before"; "consumer"; "producer-after" ]
     (List.rev !order)
 
-(* --- Partitioned engine -------------------------------------------------- *)
+(* --- Deprecated engine domains stub ---------------------------------------- *)
 
-let test_isolated_cost_model () =
-  let iso = Cost_model.isolated ~name:"iso" cm in
-  Alcotest.(check (float 0.0)) "bus off" 0.0 iso.Cost_model.bus_alpha;
-  Alcotest.(check bool)
-    "positive lookahead" true
-    (Cost_model.lookahead iso > Time.zero);
-  check_time "default lookahead = min cross-CPU latency"
-    (Cost_model.min_cross_cpu_latency cm)
-    (Cost_model.lookahead iso);
-  check_time "explicit lookahead" (Time.us 7)
-    (Cost_model.lookahead (Cost_model.isolated ~lookahead:(Time.us 7) ~name:"iso7" cm));
-  Alcotest.check_raises "zero lookahead rejected"
-    (Invalid_argument "Cost_model.isolated: lookahead must be positive")
-    (fun () ->
-      ignore (Cost_model.isolated ~lookahead:Time.zero ~name:"bad" cm))
-
-let test_engine_create_domain_validation () =
-  (match Engine.create ~processors:2 ~domains:0 cm with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "domains:0 accepted");
-  (* A model claiming isolation while keeping the shared bus would let
-     partitions read remote CPU state at zero latency. *)
-  (match
-     Engine.create ~processors:2 ~domains:2
-       { cm with Cost_model.parallel_lookahead = Time.us 10 }
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "isolated model with live bus accepted");
-  (* More domains than processors clamps rather than fails. *)
-  let e = Engine.create ~processors:2 ~domains:8 cm in
-  Alcotest.(check int) "clamped to processors" 2 (Engine.domains e)
-
-(* One pinned thread per CPU; cross-CPU wakes along a ring. Everything a
-   run produces — completion times, final clock, the full metrics
-   snapshot and the trace stream — must be bit-identical whether the
-   4 CPUs share one host domain or are sharded across 2 or 4. *)
-let isolated_ring_run domains =
-  let iso = Cost_model.isolated ~lookahead:(Time.us 5) ~name:"iso" cm in
-  let e = Engine.create ~processors:4 ~domains iso in
-  let tracer = Lrpc_obs.Trace.create ~capacity:(1 lsl 14) () in
-  Engine.set_tracer e (Some tracer);
-  let finished = Array.make 4 0 in
-  let threads =
-    Array.init 4 (fun c ->
-        Engine.spawn e ~domain:c ~home:c ~name:(Printf.sprintf "ring%d" c)
-          (fun () ->
-            for _ = 1 to 3 do
-              Engine.delay e (Time.us (1 + c));
-              Engine.block e
-            done;
-            finished.(c) <- Engine.now e))
-  in
-  ignore
-    (Engine.spawn e ~domain:9 ~home:0 ~name:"driver" (fun () ->
-         for round = 1 to 3 do
-           for c = 0 to 3 do
-             Engine.delay e (Time.us 10);
-             (* Cross-CPU wake: deferred by the lookahead, carried by a
-                mailbox when CPU [c] lives in another partition. *)
-             Engine.wake e threads.(c)
-           done;
-           ignore round
-         done));
-  Engine.run e;
-  let snap = Lrpc_obs.Metrics.render (Lrpc_obs.Metrics.snapshot (Engine.metrics e)) in
-  ( Array.to_list finished,
-    Engine.now e,
-    snap,
-    Digest.to_hex (Digest.string (Lrpc_obs.Trace.dump tracer)) )
-
-let test_isolated_domains_identical () =
-  let base = isolated_ring_run 1 in
+(* [~domains] survives only so older callers still compile: 1 is the one
+   accepted value. *)
+let test_engine_domains_stub () =
+  ignore (Engine.create ~processors:2 ~domains:1 cm);
   List.iter
     (fun d ->
-      let times, now, snap, trace = isolated_ring_run d in
-      let b_times, b_now, b_snap, b_trace = base in
-      Alcotest.(check (list int))
-        (Printf.sprintf "completion times, %d domains" d)
-        b_times times;
-      check_time (Printf.sprintf "final clock, %d domains" d) b_now now;
-      Alcotest.(check string)
-        (Printf.sprintf "metrics, %d domains" d)
-        b_snap snap;
-      Alcotest.(check string)
-        (Printf.sprintf "trace digest, %d domains" d)
-        b_trace trace)
-    [ 2; 4 ]
+      match Engine.create ~processors:2 ~domains:d cm with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "domains:%d accepted" d))
+    [ 0; 2; 4 ]
 
-let test_isolated_wake_deferred () =
-  (* The +lookahead wake rule is uniform across domain counts — it
-     applies even in the serial run, or times would depend on D. *)
-  let iso = Cost_model.isolated ~lookahead:(Time.us 5) ~name:"iso" cm in
-  List.iter
-    (fun domains ->
-      let e = Engine.create ~processors:2 ~domains iso in
-      let woken_at = ref 0 and same_cpu_at = ref 0 in
-      let sleeper =
-        Engine.spawn e ~domain:0 ~home:1 (fun () ->
-            Engine.block e;
-            woken_at := Engine.now e)
-      in
-      let local =
-        Engine.spawn e ~domain:0 ~home:0 (fun () ->
-            Engine.block e;
-            same_cpu_at := Engine.now e)
-      in
+(* [~domains:1] must be the default engine, not a second code path: the
+   same threads give the same event log with and without it. *)
+let test_engine_domains_one_is_default () =
+  let trace domains =
+    let e = Engine.create ~processors:2 ?domains cm in
+    let log = Buffer.create 64 in
+    for i = 0 to 5 do
       ignore
-        (Engine.spawn e ~domain:0 ~home:0 (fun () ->
-             Engine.delay e (Time.us 50);
-             Engine.wake e sleeper;
-             Engine.wake e local));
-      Engine.run e;
-      check_time
-        (Printf.sprintf "cross-CPU wake deferred (%d domains)" domains)
-        (Time.us 55) !woken_at;
-      check_time
-        (Printf.sprintf "same-CPU wake immediate (%d domains)" domains)
-        (Time.us 50) !same_cpu_at)
-    [ 1; 2 ]
-
-let test_isolated_rejects_zero_latency_coupling () =
-  let iso = Cost_model.isolated ~name:"iso" cm in
-  let e = Engine.create ~processors:2 ~domains:2 iso in
-  let peer = Engine.spawn e ~domain:0 ~home:1 (fun () -> Engine.block e) in
-  ignore
-    (Engine.spawn e ~domain:0 ~home:0 (fun () ->
-         Engine.delay e (Time.us 1);
-         (* A direct processor handoff is a zero-latency cross-CPU
-            interaction — exactly what an isolated model forswears. *)
-         Engine.handoff e ~to_:peer));
-  Engine.run e;
-  (match
-     List.find_opt
-       (fun (_, exn) ->
-         match exn with Engine.Cross_partition_interaction _ -> true | _ -> false)
-       (Engine.failures e)
-   with
-  | Some _ -> ()
-  | None -> Alcotest.fail "handoff under an isolated model did not raise");
-  (* Placement is partition-local, so isolated spawns must be pinned. *)
-  let e2 = Engine.create ~processors:2 ~domains:2 iso in
-  match Engine.spawn e2 ~domain:0 (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unpinned spawn accepted under isolated model"
-
-let test_window_helpers () =
-  let mk entries =
-    let h = Heap.create () in
-    List.iter (fun (t, k) -> Heap.push_key h ~time:t ~key:k ()) entries;
-    h
+        (Engine.spawn e ~domain:(i mod 3) (fun () ->
+             for _ = 1 to 3 do
+               Engine.delay e (Time.us ((i mod 4) + 1));
+               Buffer.add_string log (Printf.sprintf "%d@%d;" i (Engine.now e))
+             done))
+    done;
+    Engine.run e;
+    Buffer.contents log
   in
-  let empty = Heap.create () in
-  Alcotest.(check int) "all empty" (-1) (Window.select [| empty; empty |]);
-  let a = mk [ (10, 3) ] and b = mk [ (10, 2) ] and c = mk [ (5, 9) ] in
-  Alcotest.(check int) "earliest time wins" 2 (Window.select [| a; b; c |]);
-  ignore (Heap.take c);
-  Alcotest.(check int) "key breaks time ties" 1 (Window.select [| a; b; c |]);
-  Alcotest.(check (option int)) "min_time" (Some 10) (Window.min_time [| a; b |]);
-  Alcotest.(check (option int)) "min_time empty" None (Window.min_time [| c |]);
-  check_time "window spans lookahead" 15
-    (Window.window_end ~start:10 ~lookahead:5 ~limit:max_int);
-  check_time "window capped by limit" 13
-    (Window.window_end ~start:10 ~lookahead:5 ~limit:12);
-  check_time "zero lookahead still advances" 11
-    (Window.window_end ~start:10 ~lookahead:0 ~limit:max_int)
+  Alcotest.(check string) "event log" (trace None) (trace (Some 1))
+
+(* The matching stub on [Driver.Config.engine_domains]: [None] and
+   [Some 1] boot, anything else is refused at [Driver.boot]. *)
+let test_driver_engine_domains_stub () =
+  let boot d =
+    Lrpc_workload.Driver.boot
+      { Lrpc_workload.Driver.Config.default with engine_domains = d }
+  in
+  ignore (boot None);
+  ignore (boot (Some 1));
+  List.iter
+    (fun d ->
+      match boot (Some d) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "engine_domains:%d accepted" d))
+    [ 0; 2 ]
 
 (* --- Counter hygiene ------------------------------------------------------ *)
 
@@ -1287,6 +1173,7 @@ let () =
           Alcotest.test_case "order" `Quick test_heap_order;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "take/top_time" `Quick test_heap_take_top_time;
+          Alcotest.test_case "earlier head" `Quick test_heap_earlier;
           Alcotest.test_case "pop releases payloads" `Quick
             test_heap_pop_releases_payloads;
           Alcotest.test_case "clear releases payloads" `Quick
@@ -1313,6 +1200,8 @@ let () =
           Alcotest.test_case "delay outside thread" `Quick test_delay_outside_thread;
           Alcotest.test_case "timer/resumption ties" `Quick
             test_timer_resumption_tie_order;
+          Alcotest.test_case "deprecated domains stub" `Quick
+            test_engine_domains_stub;
           Alcotest.test_case "parked timers invisible" `Quick
             test_parked_timer_invisible_to_delays;
           Alcotest.test_case "one cpu serializes" `Quick test_two_threads_one_cpu_serialize;
@@ -1332,22 +1221,22 @@ let () =
           Alcotest.test_case "fresh counters zero" `Quick
             test_fresh_engine_counters_zero;
         ] );
+      (* Alcotest fits test names into the width the longest suite name
+         leaves; this is the longest one, so the property names below print
+         as they always have. *)
+      ( "deprecated domains",
+        [
+          Alcotest.test_case "domains 1 is the default" `Quick
+            test_engine_domains_one_is_default;
+          Alcotest.test_case "driver config stub" `Quick
+            test_driver_engine_domains_stub;
+        ] );
       ( "run queues",
         [
           Alcotest.test_case "ring grows and wraps" `Quick
             test_ring_grows_and_wraps;
           Alcotest.test_case "steal preference" `Quick test_steal_preference;
           Alcotest.test_case "idle hook count" `Quick test_idle_hook_count;
-        ] );
-      ( "partitioned engine",
-        [
-          Alcotest.test_case "isolated cost model" `Quick test_isolated_cost_model;
-          Alcotest.test_case "create validation" `Quick test_engine_create_domain_validation;
-          Alcotest.test_case "domains 1/2/4 identical" `Quick test_isolated_domains_identical;
-          Alcotest.test_case "cross-CPU wake deferred" `Quick test_isolated_wake_deferred;
-          Alcotest.test_case "zero-latency coupling rejected" `Quick
-            test_isolated_rejects_zero_latency_coupling;
-          Alcotest.test_case "window helpers" `Quick test_window_helpers;
         ] );
       ( "trace",
         [

@@ -503,6 +503,45 @@ let test_qsketch_small_values_exact () =
   Alcotest.(check int) "p50 = 4th smallest" 3 (Qsketch.quantile s 0.5);
   Alcotest.(check int) "max" 9 (Qsketch.quantile s 1.0)
 
+(* Bucket edges at the boundaries of the layout, for the smallest,
+   default and largest [sub_bits]: m - 1 is the last exact bucket, m the
+   first grouped one (still one unit wide), and max_int lands in the
+   last bucket, whose reported upper bound is max_int itself. [solo v]
+   is the upper bound of the bucket a lone sample [v] lands in. *)
+let test_qsketch_boundaries () =
+  List.iter
+    (fun sub_bits ->
+      let m = 1 lsl sub_bits in
+      let what s = Printf.sprintf "sub_bits %d: %s" sub_bits s in
+      let sketch vs =
+        let s = Qsketch.create ~sub_bits () in
+        List.iter (Qsketch.add s) vs;
+        s
+      in
+      let solo v = Qsketch.quantile (sketch [ v ]) 1.0 in
+      Alcotest.(check int) (what "m - 1 exact") (m - 1) (solo (m - 1));
+      Alcotest.(check int) (what "m exact") m (solo m);
+      let s = sketch [ m - 1; m ] in
+      Alcotest.(check int) (what "m - 1 and m in distinct buckets") (m - 1)
+        (Qsketch.quantile s 0.5);
+      Alcotest.(check int) (what "m above m - 1") m (Qsketch.quantile s 1.0);
+      (* The last bucket spans [max_int - 2^g + 1, max_int], where g is
+         the group of max_int's most significant bit. *)
+      let g = Sys.int_size - 2 - sub_bits in
+      let lo = max_int - (1 lsl g) + 1 in
+      Alcotest.(check int) (what "max_int reports max_int") max_int
+        (solo max_int);
+      Alcotest.(check int) (what "last bucket's low edge") max_int (solo lo);
+      Alcotest.(check int) (what "below the last bucket") (lo - 1)
+        (solo (lo - 1));
+      let s = sketch [ lo - 1; lo; max_int ] in
+      Alcotest.(check int) (what "rank 1 below the last bucket") (lo - 1)
+        (Qsketch.quantile s (1.0 /. 3.0));
+      Alcotest.(check int) (what "rank 2 in the last bucket") max_int
+        (Qsketch.quantile s (2.0 /. 3.0));
+      Alcotest.(check int) (what "count") 3 (Qsketch.count s))
+    [ 1; 5; 16 ]
+
 let test_qsketch_rejects () =
   let s = Qsketch.create () in
   Alcotest.check_raises "negative sample"
@@ -628,6 +667,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_qsketch_empty;
           Alcotest.test_case "small values exact" `Quick
             test_qsketch_small_values_exact;
+          Alcotest.test_case "layout boundaries" `Quick test_qsketch_boundaries;
           Alcotest.test_case "rejects" `Quick test_qsketch_rejects;
         ] );
       ("properties", qsuite);
